@@ -157,6 +157,10 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_pattern(args) -> int:
+    if args.samples < 2:
+        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
+    if not (math.isfinite(args.x_min) and math.isfinite(args.x_max) and args.x_min < args.x_max):
+        raise ConfigError(f"--x-min must be below --x-max, got {args.x_min!r} and {args.x_max!r}")
     config = _load(args)
     if config.geometry is None:
         raise ConfigError("pattern needs a geometry section in the config")
@@ -234,6 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise ConfigError(f"--tolerance must be a finite positive number, got {args.tolerance!r}")
         return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

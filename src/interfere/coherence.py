@@ -17,12 +17,12 @@ normalization, but the numerator vanishes identically, so the distinction
 is unobservable; the square-root form is kept deliberately.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    PAIR_FLOOR,
     DensityMatrix,
     UndefinedPairError,
     _readonly,
@@ -41,7 +41,7 @@ def _check_index(rho: DensityMatrix, *indices: int) -> None:
 
 def _population(rho: DensityMatrix, idx: int) -> float:
     pop = float(rho.entries[idx, idx].real)
-    if pop <= PAIR_FLOOR:
+    if not rho.pairs.live[idx]:
         raise UndefinedPairError(
             f"source {idx} has population {pop!r}; normalized coherence is undefined"
         )
@@ -91,15 +91,23 @@ class CoherenceMatrix:
 def coherence_matrix(rho) -> CoherenceMatrix:
     """Evaluate ``g1`` for every ordered source pair at once."""
     rho = as_density(rho)
-    pops = rho.populations
-    alive = pops > PAIR_FLOOR
+    alive = rho.pairs.live
     defined = np.outer(alive, alive)
-    entries = np.full(rho.entries.shape, complex(float("nan"), float("nan")))
-    if alive.any():
-        denom = np.sqrt(np.outer(pops[alive], pops[alive]))
-        block = rho.entries[np.ix_(alive, alive)].T / denom
-        entries[np.ix_(alive, alive)] = block
-    return CoherenceMatrix(entries, defined)
+    pops = np.where(alive, rho.populations, 1.0)  # dead rows are masked below
+    ratios = rho.entries.T / np.sqrt(np.outer(pops, pops))
+    return CoherenceMatrix(np.where(defined, ratios, complex(float("nan"), float("nan"))), defined)
+
+
+def _normal_ordered(rho, modes) -> complex:
+    """``Tr(rho a+_m1 .. a+_mk a_mk .. a_m1)`` by explicit operator products
+    in the truncated space, over the square root of the product of the
+    populations of ``modes``."""
+    rho = as_density(rho)
+    _check_index(rho, *modes)
+    denom = np.sqrt(math.prod(_population(rho, m) for m in modes))
+    space = FockSpace(rho.n)
+    ladder = [creation(space, m) for m in modes] + [annihilation(space, m) for m in reversed(modes)]
+    return complex(trace_correlation(embed(rho), ladder) / denom)
 
 
 def g2(rho, i: int, j: int) -> complex:
@@ -110,33 +118,10 @@ def g2(rho, i: int, j: int) -> complex:
     one-photon state give the zero matrix, so the result is exactly zero
     for every valid state.
     """
-    rho = as_density(rho)
-    _check_index(rho, i, j)
-    denom = np.sqrt(_population(rho, i) * _population(rho, j))
-    space = FockSpace(rho.n)
-    numerator = trace_correlation(
-        embed(rho),
-        [creation(space, i), creation(space, j), annihilation(space, j), annihilation(space, i)],
-    )
-    return complex(numerator / denom)
+    return _normal_ordered(rho, (i, j))
 
 
 def g3(rho, i: int, j: int, l: int) -> complex:
     """Normalized six-point function for the triple (i, j, l).  Exactly zero
     for a one-photon state, by the same operator algebra as :func:`g2`."""
-    rho = as_density(rho)
-    _check_index(rho, i, j, l)
-    denom = np.sqrt(_population(rho, i) * _population(rho, j) * _population(rho, l))
-    space = FockSpace(rho.n)
-    numerator = trace_correlation(
-        embed(rho),
-        [
-            creation(space, i),
-            creation(space, j),
-            creation(space, l),
-            annihilation(space, l),
-            annihilation(space, j),
-            annihilation(space, i),
-        ],
-    )
-    return complex(numerator / denom)
+    return _normal_ordered(rho, (i, j, l))

@@ -18,7 +18,9 @@ All types are frozen and carry read-only arrays, so instances can be
 shared freely between concurrent tasks.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,8 +29,8 @@ TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
 NORMALIZATION_TOL = 1e-9
 
-# Populations whose pairwise product falls at or below this floor are treated
-# as "this source never fires": ratios against them are undefined, not zero.
+# A source at or below this population "never fires": ratios against it are
+# undefined, not zero.  A source pair is live when both sources clear it.
 PAIR_FLOOR = 1e-15
 
 
@@ -171,6 +173,25 @@ def validate_density(rho, tol: float | None = None) -> ValidationReport:
 
 
 @dataclass(frozen=True, eq=False)
+class PairTable:
+    """The C(N, 2) source pairs ``i < j`` of a state, i ascending then j.
+
+    Every pairwise readout reads this one table, so all agree on the pair
+    order and on which pairs are live.  ``modulus`` and ``arg`` are
+    ``|rho_ij|`` and ``arg rho_ij``; ``live`` flags the sources whose
+    population exceeds ``PAIR_FLOOR`` and ``live_pair`` the pairs of two
+    live sources, the only pairs with a normalized coherence.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    modulus: np.ndarray
+    arg: np.ndarray
+    live: np.ndarray
+    live_pair: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """N x N single-photon-sector state, validated on construction.
 
@@ -201,6 +222,18 @@ class DensityMatrix:
     def populations(self) -> np.ndarray:
         """Real diagonal: probability of the photon coming from each source."""
         return self.entries.diagonal().real
+
+    @cached_property
+    def pairs(self) -> PairTable:
+        """The state's :class:`PairTable`, built on first use and kept."""
+        i, j = np.triu_indices(int(self.n), 1)
+        z = self.entries[i, j]
+        live = self.populations > PAIR_FLOOR
+        # hypot and math.atan2 equal the scalar abs and atan2 of each entry
+        # to the last bit; array np.abs and np.arctan2 do not.
+        modulus = np.hypot(z.real, z.imag)
+        arg = [math.atan2(v.imag, v.real) for v in z.tolist()]
+        return PairTable(*(_readonly(c, None) for c in (i, j, modulus, arg, live, live[i] & live[j])))
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)

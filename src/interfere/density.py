@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    PAIR_FLOOR,
     Amplitudes,
     DensityMatrix,
     DomainError,
@@ -90,36 +89,25 @@ class PidReport:
 def estimate_pid(rho, consistency_tol: float = 1e-9) -> PidReport:
     """Read the coherent weight off every source pair of ``rho``.
 
-    Pairs whose population product is at or below ``PAIR_FLOOR`` are
-    reported with ``defined=False`` and excluded from the spread and the
-    consensus; the ratio is never formed for them.
+    A pair is defined exactly when ``g1`` is: both populations exceed
+    ``PAIR_FLOOR``.  Undefined pairs are reported with ``defined=False``
+    and excluded from the spread and the consensus; the ratio is never
+    formed for them.
     """
     if not (np.isfinite(consistency_tol) and consistency_tol > 0):
         raise DomainError(f"consistency tolerance must be positive, got {consistency_tol!r}")
     rho = as_density(rho)
-    entries = rho.entries
+    table = rho.pairs
     pops = rho.populations
+    live = table.live_pair
 
-    pairs = []
-    defined_values = []
-    for i in range(int(rho.n)):
-        for j in range(i + 1, int(rho.n)):
-            product = pops[i] * pops[j]
-            if product > PAIR_FLOOR:
-                p = float(abs(entries[i, j]) / np.sqrt(product))
-                pairs.append(PairEstimate(i, j, p, True))
-                defined_values.append(p)
-            else:
-                pairs.append(PairEstimate(i, j, float("nan"), False))
+    p_ij = np.full(live.shape, float("nan"))
+    p_ij[live] = table.modulus[live] / np.sqrt(pops[table.i[live]] * pops[table.j[live]])
+    pairs = map(PairEstimate, table.i.tolist(), table.j.tolist(), p_ij.tolist(), live.tolist())
+    defined_values = p_ij[live]
 
-    degenerate = not defined_values
-    if degenerate:
-        spread = float("nan")
-        consistent = False
-        consensus = None
-    else:
-        spread = float(max(defined_values) - min(defined_values))
-        consistent = spread <= consistency_tol
-        consensus = float(np.mean(defined_values)) if consistent else None
-
+    degenerate = not live.any()
+    spread = float("nan") if degenerate else float(np.ptp(defined_values))
+    consistent = spread <= consistency_tol  # False for the NaN spread
+    consensus = float(np.mean(defined_values)) if consistent else None
     return PidReport(tuple(pairs), consensus, spread, consistent, degenerate)

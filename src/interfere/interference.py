@@ -26,17 +26,18 @@ arbitrary valid states and reduces to the plain-cosine form when the
 off-diagonals are real and non-negative.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import g1
 from .core import (
-    PAIR_FLOOR,
+    PSD_TOL,
     DensityMatrix,
     DimensionError,
     DomainError,
+    PairTable,
     PhaseConfig,
     _readonly,
     as_density,
@@ -53,6 +54,12 @@ DEFAULT_SCAN_SEED = 1905
 # the objective by no more than this; well inside the 1e-6 scan contract.
 _REFINE_STOP = 1e-12
 _MAX_SWEEPS = 500
+
+# Pair terms per block of phase rows in the intensity kernel.  Below
+# _NARROW_BLOCK rows one np.add.accumulate sums a block's pair terms faster
+# than a Python loop over its pairs; above it, at a few ns per term, slower.
+_KERNEL_BLOCK = 1 << 15
+_NARROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -132,7 +139,8 @@ class IntensityPattern:
             )
         if not np.all(np.diff(pos) > 0):
             raise DomainError("positions must be strictly increasing")
-        if vals.min(initial=0.0) < -1e-12:
+        # An accepted state's intensity can dip to -N * PSD_TOL (|phi|**2 = N).
+        if vals.min(initial=0.0) < -self.geometry.n * PSD_TOL:
             raise DomainError(f"negative intensity {vals.min()!r} in pattern")
         object.__setattr__(self, "positions", _readonly(pos, float))
         object.__setattr__(self, "intensities", _readonly(vals, float))
@@ -157,37 +165,28 @@ class VisibilityResult:
     bound: float | None
 
 
-def _pair_terms(entries: np.ndarray):
-    """Ordered cosine terms of the intensity: (i, j, 2|rho_ij|, arg rho_ij).
+def _intensity_given_phases(base: float, pairs: PairTable, phases) -> np.ndarray:
+    """Intensities of an (M, N) phase batch; one length-N vector is M = 1.
 
-    Fixed order (i ascending, then j) so every consumer accumulates in the
-    same sequence and agrees bit for bit.
+    Each result is ``base`` plus the pair terms added one at a time in table
+    order, so every caller gets the same bits for the same phases.  Rows go
+    in blocks of ``_KERNEL_BLOCK`` terms, so memory stays O(M).
     """
-    n = entries.shape[0]
-    terms = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            mag = abs(entries[i, j])
-            if mag > 0.0:
-                terms.append((i, j, 2.0 * mag, math.atan2(entries[i, j].imag, entries[i, j].real)))
-    return terms
-
-
-def _intensity_given_phases(base: float, terms, phases: np.ndarray):
-    """Accumulate the intensity expression term by term, in fixed order.
-
-    ``phases`` may be a length-N vector or an (M, N) batch; the result has
-    the matching shape.  Scalar and batched calls perform the identical
-    sequence of elementwise operations.
-    """
-    phases = np.asarray(phases, dtype=float)
-    batched = phases.ndim == 2
-    total = np.full(phases.shape[0], base) if batched else base
-    for i, j, amp, ang in terms:
-        if batched:
-            total = total + amp * np.cos(phases[:, i] - phases[:, j] + ang)
+    columns = np.atleast_2d(phases).T
+    step = max(1, _KERNEL_BLOCK // pairs.i.shape[0])
+    total = np.empty(columns.shape[1])
+    for start in range(0, columns.shape[1], step):
+        block = columns[:, start:start + step]
+        terms = block.take(pairs.i, 0)
+        terms -= block.take(pairs.j, 0)
+        terms += pairs.arg[:, None]
+        np.cos(terms, out=terms)
+        terms *= 2.0 * pairs.modulus[:, None]
+        terms[0] = base + terms[0]
+        if block.shape[1] < _NARROW_BLOCK:
+            total[start:start + step] = np.add.accumulate(terms)[-1]
         else:
-            total = total + amp * np.cos(phases[i] - phases[j] + ang)
+            total[start:start + step] = functools.reduce(np.add, terms)
     return total
 
 
@@ -195,14 +194,14 @@ def intensity(rho, phases, k=None) -> float:
     """Detection probability at one point, scaled by ``|k|**2``.
 
     ``sum_i rho_ii + 2 sum_{i>j} |rho_ij| cos(phi_i - phi_j + arg rho_ij)``,
-    which is non-negative for every valid state and every phase vector.
+    which is at least ``-N * PSD_TOL`` for every accepted state and every
+    phase vector, since ``|phi|**2 = N``.
     """
     rho = as_density(rho)
     phases = as_phases(phases)
     if phases.n != int(rho.n):
         raise DimensionError(f"{phases.n} phases for {int(rho.n)} sources")
-    entries = rho.entries
-    value = _intensity_given_phases(float(rho.populations.sum()), _pair_terms(entries), phases.phases)
+    value = _intensity_given_phases(float(rho.populations.sum()), rho.pairs, phases.phases)[0]
     return float(as_scale(k).intensity_scale * value)
 
 
@@ -231,11 +230,11 @@ def pattern(rho, geometry: DetectionGeometry, x_min: float, x_max: float, sample
         2.0 * np.pi / geometry.wavelength
         * np.hypot(geometry.screen_distance, positions[:, None] - geometry.source_positions[None, :])
     )
-    values = _intensity_given_phases(float(rho.populations.sum()), _pair_terms(rho.entries), phase_rows)
+    values = _intensity_given_phases(float(rho.populations.sum()), rho.pairs, phase_rows)
     return IntensityPattern(positions, values, geometry)
 
 
-def _descend(entries, base, terms, phi, sense):
+def _descend(entries, base, pairs, phi, sense):
     """Exact coordinate descent over the free phases (phi[0] stays 0).
 
     Holding the other phases fixed, the objective's dependence on one
@@ -245,7 +244,7 @@ def _descend(entries, base, terms, phi, sense):
     threshold.
     """
     n = entries.shape[0]
-    current = float(_intensity_given_phases(base, terms, phi))
+    current = float(_intensity_given_phases(base, pairs, phi)[0])
     for _ in range(_MAX_SWEEPS):
         previous = current
         for m in range(1, n):
@@ -256,13 +255,13 @@ def _descend(entries, base, terms, phi, sense):
             if abs(w) == 0.0:
                 continue
             phi[m] = (-np.angle(w)) if sense > 0 else (np.pi - np.angle(w))
-        current = float(_intensity_given_phases(base, terms, phi))
+        current = float(_intensity_given_phases(base, pairs, phi)[0])
         if sense * (current - previous) <= _REFINE_STOP:
             break
     return current, phi
 
 
-def _grid_extremum(base, terms, n, grid_points, sense):
+def _grid_extremum(base, pairs, n, grid_points, sense):
     """Best grid point over the free phases, first occurrence winning ties.
 
     Works one slab of the first free phase at a time to bound memory; the
@@ -276,7 +275,7 @@ def _grid_extremum(base, terms, n, grid_points, sense):
     if free == 1:
         batch = np.zeros((grid_points, n))
         batch[:, 1] = theta
-        values = sense * _intensity_given_phases(base, terms, batch)
+        values = sense * _intensity_given_phases(base, pairs, batch)
         idx = int(np.argmax(values))
         return float(values[idx]) * sense, batch[idx].copy()
     tail_mesh = np.meshgrid(*([theta] * (free - 1)), indexing="ij")
@@ -285,7 +284,7 @@ def _grid_extremum(base, terms, n, grid_points, sense):
     batch[:, 2:] = tail
     for first in theta:
         batch[:, 1] = first
-        values = sense * _intensity_given_phases(base, terms, batch)
+        values = sense * _intensity_given_phases(base, pairs, batch)
         idx = int(np.argmax(values))
         if values[idx] > best_value:
             best_value = float(values[idx])
@@ -293,25 +292,26 @@ def _grid_extremum(base, terms, n, grid_points, sense):
     return best_value * sense, best_phi
 
 
-def _scan_extrema(entries, settings: ScanSettings):
+def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     """Extremize the intensity over realizable phases (first phase gauged to 0)."""
+    entries = rho.entries
     n = entries.shape[0]
-    base = float(entries.diagonal().real.sum())
-    terms = _pair_terms(entries)
-    if not terms:
+    base = float(rho.populations.sum())
+    pairs = rho.pairs
+    if not pairs.modulus.any():
         return base, base
     extrema = []
     for sense in (+1.0, -1.0):
         if n <= 4:
-            _, phi = _grid_extremum(base, terms, n, settings.grid_points, sense)
-            value, _ = _descend(entries, base, terms, phi, sense)
+            _, phi = _grid_extremum(base, pairs, n, settings.grid_points, sense)
+            value, _ = _descend(entries, base, pairs, phi, sense)
         else:
             rng = np.random.default_rng(settings.seed)
             starts = np.zeros((settings.starts + 1, n))
             starts[1:, 1:] = rng.uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
             value = None
             for row in starts:
-                candidate, _ = _descend(entries, base, terms, row.copy(), sense)
+                candidate, _ = _descend(entries, base, pairs, row.copy(), sense)
                 if value is None or sense * (candidate - value) > 0:
                     value = candidate
         extrema.append(value)
@@ -326,23 +326,13 @@ def visibility(rho, scan: ScanSettings | None = None) -> VisibilityResult:
     """
     rho = as_density(rho)
     settings = scan if scan is not None else ScanSettings()
-    entries = rho.entries
-    n = int(rho.n)
-    pops = rho.populations
-
-    off_sum = 0.0
-    sum_g = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            off_sum += abs(entries[i, j])
-            if pops[i] > PAIR_FLOOR and pops[j] > PAIR_FLOOR:
-                sum_g += abs(g1(rho, i, j))
-    formula_v = 2.0 * off_sum / float(pops.sum())
+    formula_v = 2.0 * float(rho.pairs.modulus.sum()) / float(rho.populations.sum())
 
     report = estimate_pid(rho)
-    bound = math.comb(n, 2) * report.consensus if report.consistent else None
+    sum_g = np.nansum([pair.p_ij for pair in report.pairs])
+    bound = math.comb(int(rho.n), 2) * report.consensus if report.consistent else None
 
-    i_max, i_min = _scan_extrema(entries, settings)
+    i_max, i_min = _scan_extrema(rho, settings)
     i_min = max(i_min, 0.0)
     total = i_max + i_min
     scan_v = (i_max - i_min) / total if total > 0 else 0.0
@@ -366,15 +356,12 @@ def born_residual(rho, phases) -> float:
     if phases.n != n:
         raise DimensionError(f"{phases.n} phases for {n} sources")
 
-    entries = rho.entries
+    pairs = rho.pairs
+    pops = rho.populations
     phi = phases.phases
-    full = float(_intensity_given_phases(float(entries.diagonal().real.sum()), _pair_terms(entries), phi))
-    pair_sum = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            sub = entries[np.ix_((i, j), (i, j))]
-            pair_sum += float(
-                _intensity_given_phases(float(sub.diagonal().real.sum()), _pair_terms(sub), phi[[i, j]])
-            )
-    singles = float(entries.diagonal().real.sum())
-    return full - pair_sum + (n - 2) * singles
+    singles = float(pops.sum())
+    full = float(_intensity_given_phases(singles, pairs, phi)[0])
+    pair_intensities = (pops[pairs.i] + pops[pairs.j]) + 2.0 * pairs.modulus * np.cos(
+        phi[pairs.i] - phi[pairs.j] + pairs.arg
+    )
+    return full - float(pair_intensities.sum()) + (n - 2) * singles

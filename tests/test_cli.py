@@ -261,3 +261,20 @@ class TestUsage:
 
     def test_config_flag_required(self):
         assert run("validate").returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("pattern", "--samples", "1"),
+        ("pattern", "--x-min", "0.1", "--x-max", "-0.1"),
+        ("validate", "--tolerance", "-1"),
+        ("pid", "--tolerance", "0"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(tmp_path, args):
+    doc = {"amplitudes": EQUAL_TWO, "p_id": 0.7, "geometry": TWO_SLIT_GEOMETRY}
+    proc = run(args[0], "--config", config_file(tmp_path, doc), *args[1:])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")

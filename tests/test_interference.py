@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from interfere import (
+    PSD_TOL,
     Amplitudes,
+    DensityMatrix,
     DetectionGeometry,
     DimensionError,
     DomainError,
@@ -17,6 +19,7 @@ from interfere import (
     mix,
     pattern,
     phases_from_geometry,
+    validate_density,
     visibility,
 )
 
@@ -165,6 +168,18 @@ class TestPattern:
     def test_pattern_type_rejects_unsorted_positions(self):
         with pytest.raises(DomainError):
             IntensityPattern(np.array([1.0, 0.0]), np.array([1.0, 1.0]), TWO_SLIT)
+
+    def test_state_at_psd_tolerance_gives_a_pattern(self):
+        # Accepted with min_eig = -5e-10; the dark fringe dips to about -1e-9.
+        rho = DensityMatrix([[0.5, 0.5 + 5e-10], [0.5 + 5e-10, 0.5]])
+        assert -PSD_TOL <= validate_density(rho).min_eig < 0
+        result = pattern(rho, TWO_SLIT, -0.05, 0.05, 100001)
+        assert -2 * PSD_TOL <= result.intensities.min() < 0
+
+    def test_pattern_type_gate_scales_with_source_count(self):
+        IntensityPattern(np.array([0.0, 1.0]), np.array([1.0, -1.5 * PSD_TOL]), TWO_SLIT)
+        with pytest.raises(DomainError):
+            IntensityPattern(np.array([0.0, 1.0]), np.array([1.0, -2.5 * PSD_TOL]), TWO_SLIT)
 
 
 class TestVisibility:
