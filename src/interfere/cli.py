@@ -209,16 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help_text):
+    def command(name, handler, help_text, tolerance=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--output", default="-", help="output file, '-' for standard output")
-        p.add_argument("--tolerance", type=float, default=None, help="override the command's tolerance")
+        if tolerance:
+            p.add_argument("--tolerance", type=float, default=None, help="override the command's tolerance")
         p.set_defaults(handler=handler)
         return p
 
-    command("validate", cmd_validate, "check the configured state, print the report")
-    command("pid", cmd_pid, "pairwise indistinguishability readings and consensus")
+    command("validate", cmd_validate, "check the configured state, print the report", tolerance=True)
+    command("pid", cmd_pid, "pairwise indistinguishability readings and consensus", tolerance=True)
     command("coherence", cmd_coherence, "normalized coherence matrix as CSV")
 
     p = command("pattern", cmd_pattern, "fringe pattern over a screen interval as CSV")
@@ -228,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("visibility", cmd_visibility, "formula and scan visibility with bounds")
 
-    p = command("born-check", cmd_born_check, "max pairwise-decomposition residual over sampled phases")
+    p = command(
+        "born-check", cmd_born_check, "max pairwise-decomposition residual over sampled phases", tolerance=True
+    )
     p.add_argument("--phase-samples", type=int, default=100, help="number of sampled phase vectors")
     p.add_argument("--seed", type=int, default=None, help="seed for phase sampling")
 
@@ -238,8 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance > 0):
-            raise ConfigError(f"--tolerance must be a finite positive number, got {args.tolerance!r}")
+        tolerance = getattr(args, "tolerance", None)
+        if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
+            raise ConfigError(f"--tolerance must be a finite positive number, got {tolerance!r}")
         return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

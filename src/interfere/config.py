@@ -61,12 +61,6 @@ def _real(value, where: str) -> float:
     return float(value)
 
 
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
 def _complex_pair(value, where: str) -> complex:
     if not isinstance(value, list) or len(value) != 2:
         raise ConfigError(f"{where} must be a [re, im] pair, got {value!r}")
@@ -203,14 +197,11 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("scan must be an object")
         _require_keys(raw, _SCAN_KEYS, "scan")
-        grid_points = _integer(raw["grid_points"], "scan.grid_points") if "grid_points" in raw else None
-        starts = _integer(raw["starts"], "scan.starts") if "starts" in raw else None
-        seed = _integer(raw["seed"], "scan.seed") if "seed" in raw else None
-        if grid_points is not None and grid_points < 2:
-            raise ConfigError(f"scan.grid_points must be at least 2, got {grid_points}")
-        if starts is not None and starts < 1:
-            raise ConfigError(f"scan.starts must be at least 1, got {starts}")
-        return grid_points, starts, seed
+        try:
+            ScanSettings(**raw)
+        except InterfereError as exc:
+            raise ConfigError(f"bad scan: {exc}") from exc
+        return raw.get("grid_points"), raw.get("starts"), raw.get("seed")
 
     @property
     def n(self) -> int:

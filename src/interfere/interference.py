@@ -27,6 +27,7 @@ off-diagonals are real and non-negative.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,10 +67,11 @@ _NARROW_BLOCK = 128
 class ScanSettings:
     """Deterministic knobs for the visibility phase scan.
 
-    Up to four sources the scan is a dense grid (``grid_points`` per free
-    phase) followed by coordinate-descent refinement; beyond four it is
-    ``starts`` seeded random starts, each refined the same way.  The same
-    seed always reproduces the same result.
+    Up to four sources one sweep of a dense grid (``grid_points`` per free
+    phase) picks a start for each extremum; beyond four the starts are the
+    zero vector and ``starts`` seeded random vectors, for each extremum.
+    One coordinate descent then refines every start at once.  The same
+    seed always reproduces the same result.  Every field must be an integer.
     """
 
     grid_points: int = DEFAULT_GRID_POINTS
@@ -77,13 +79,13 @@ class ScanSettings:
     seed: int = DEFAULT_SCAN_SEED
 
     def __post_init__(self) -> None:
-        if int(self.grid_points) < 2:
-            raise DomainError(f"grid_points must be at least 2, got {self.grid_points}")
-        if int(self.starts) < 1:
-            raise DomainError(f"starts must be at least 1, got {self.starts}")
-        object.__setattr__(self, "grid_points", int(self.grid_points))
-        object.__setattr__(self, "starts", int(self.starts))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, least in (("grid_points", 2), ("starts", 1), ("seed", None)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                raise DomainError(f"{name} must be at least {least}, got {value}")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,88 +236,89 @@ def pattern(rho, geometry: DetectionGeometry, x_min: float, x_max: float, sample
     return IntensityPattern(positions, values, geometry)
 
 
-def _descend(entries, base, pairs, phi, sense):
-    """Exact coordinate descent over the free phases (phi[0] stays 0).
+def _descend(entries, base, pairs, starts, sense):
+    """Exact coordinate descent from every start at once; the values reached.
 
-    Holding the other phases fixed, the objective's dependence on one
-    phase is a single sinusoid, so each coordinate update is a closed-form
-    extremization.  Each update can only improve the objective, and the
-    sweep loop stops once a full pass gains no more than the stop
-    threshold.
+    ``starts`` holds one phase row per start (phi[0] stays 0) and ``sense``
+    is +1 for a row that maximizes, -1 for one that minimizes.  Holding the
+    other phases fixed, the objective's dependence on one phase is a single
+    sinusoid, so each coordinate update is a closed-form extremization.
+    Each update can only improve the objective; a row stops once a full
+    sweep gains no more than the stop threshold.  Each field sum starts from
+    ``0j`` and adds its terms in column order, with the complex products
+    spelled out in real parts, so a row gets the same bits as it would alone
+    in scalar arithmetic.
     """
     n = entries.shape[0]
-    current = float(_intensity_given_phases(base, pairs, phi)[0])
+    coef = 2.0 * entries
+    np.fill_diagonal(coef, 0.0)  # no self term: adding +-0.0 leaves a sum begun at 0j unchanged
+    phi = starts.T.copy()
+    fields = np.exp(-1j * phi)
+    values = _intensity_given_phases(base, pairs, starts)
+    rows = np.arange(phi.shape[1])
     for _ in range(_MAX_SWEEPS):
-        previous = current
         for m in range(1, n):
-            w = 0.0 + 0.0j
-            for j in range(n):
-                if j != m:
-                    w += 2.0 * entries[m, j] * np.exp(-1j * phi[j])
-            if abs(w) == 0.0:
-                continue
-            phi[m] = (-np.angle(w)) if sense > 0 else (np.pi - np.angle(w))
-        current = float(_intensity_given_phases(base, pairs, phi)[0])
-        if sense * (current - previous) <= _REFINE_STOP:
+            cr, ci = coef.real[m, :, None], coef.imag[m, :, None]
+            terms = np.stack([cr * fields.real - ci * fields.imag, cr * fields.imag + ci * fields.real])
+            terms[:, 0] += 0.0  # the sum starts from 0j: a -0.0 first term counts as +0.0
+            wr, wi = np.add.accumulate(terms, axis=1)[:, -1]
+            angle = np.arctan2(wi, wr)
+            turned = np.where(sense[rows] > 0, -angle, np.pi - angle)
+            phi[m] = np.where((wr != 0.0) | (wi != 0.0), turned, phi[m])
+            fields[m] = np.exp(-1j * phi[m])
+        current = _intensity_given_phases(base, pairs, phi.T)
+        going = sense[rows] * (current - values[rows]) > _REFINE_STOP
+        values[rows] = current
+        rows, phi, fields = rows[going], phi[:, going], fields[:, going]
+        if not rows.size:
             break
-    return current, phi
+    return values
 
 
-def _grid_extremum(base, pairs, n, grid_points, sense):
-    """Best grid point over the free phases, first occurrence winning ties.
+def _grid_extrema(base, pairs, n, grid_points):
+    """Grid points of the largest and smallest intensity, as rows of a (2, N) array.
 
-    Works one slab of the first free phase at a time to bound memory; the
-    slab scan order matches the flattened C-order grid, so the selected
-    point is the lexicographically smallest maximizer or minimizer.
+    Works one slab of the first free phase at a time to bound memory (with
+    one free phase the grid is one slab).  The slab order matches the
+    flattened C-order grid and the first strict improvement wins, so the
+    picks are the lexicographically smallest maximizer and minimizer.
     """
     theta = 2.0 * np.pi * np.arange(grid_points) / grid_points
-    best_value = -np.inf
-    best_phi = None
-    free = n - 1
-    if free == 1:
-        batch = np.zeros((grid_points, n))
-        batch[:, 1] = theta
-        values = sense * _intensity_given_phases(base, pairs, batch)
-        idx = int(np.argmax(values))
-        return float(values[idx]) * sense, batch[idx].copy()
-    tail_mesh = np.meshgrid(*([theta] * (free - 1)), indexing="ij")
-    tail = np.stack([m.ravel() for m in tail_mesh], axis=1)
-    batch = np.zeros((tail.shape[0], n))
-    batch[:, 2:] = tail
-    for first in theta:
-        batch[:, 1] = first
-        values = sense * _intensity_given_phases(base, pairs, batch)
-        idx = int(np.argmax(values))
-        if values[idx] > best_value:
-            best_value = float(values[idx])
-            best_phi = batch[idx].copy()
-    return best_value * sense, best_phi
+    tail = max(n - 2, 1)
+    mesh = np.meshgrid(*([theta] * tail), indexing="ij")
+    batch = np.zeros((mesh[0].size, n))
+    batch[:, n - tail:] = np.stack([m.ravel() for m in mesh], axis=1)
+    best = np.array([-np.inf, np.inf])
+    picks = np.zeros((2, n))
+    for lead in itertools.product(theta, repeat=n - 1 - tail):
+        batch[:, 1:n - tail] = lead
+        values = _intensity_given_phases(base, pairs, batch)
+        hi, lo = np.argmax(values), np.argmin(values)
+        if values[hi] > best[0]:
+            best[0], picks[0] = values[hi], batch[hi]
+        if values[lo] < best[1]:
+            best[1], picks[1] = values[lo], batch[lo]
+    return picks
 
 
 def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     """Extremize the intensity over realizable phases (first phase gauged to 0)."""
-    entries = rho.entries
-    n = entries.shape[0]
+    n = int(rho.n)
     base = float(rho.populations.sum())
     pairs = rho.pairs
     if not pairs.modulus.any():
         return base, base
-    extrema = []
-    for sense in (+1.0, -1.0):
-        if n <= 4:
-            _, phi = _grid_extremum(base, pairs, n, settings.grid_points, sense)
-            value, _ = _descend(entries, base, pairs, phi, sense)
-        else:
-            rng = np.random.default_rng(settings.seed)
-            starts = np.zeros((settings.starts + 1, n))
-            starts[1:, 1:] = rng.uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
-            value = None
-            for row in starts:
-                candidate, _ = _descend(entries, base, pairs, row.copy(), sense)
-                if value is None or sense * (candidate - value) > 0:
-                    value = candidate
-        extrema.append(value)
-    return extrema[0], extrema[1]
+    if n <= 4:
+        starts = _grid_extrema(base, pairs, n, settings.grid_points)
+        sense = np.array([1.0, -1.0])
+    else:
+        seeded = np.zeros((settings.starts + 1, n))
+        rng = np.random.default_rng(settings.seed)
+        seeded[1:, 1:] = rng.uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
+        starts = np.concatenate([seeded, seeded])
+        sense = np.repeat([1.0, -1.0], settings.starts + 1)
+    values = _descend(rho.entries, base, pairs, starts, sense)
+    return float(values[sense > 0].max()), float(values[sense < 0].min())
 
 
 def visibility(rho, scan: ScanSettings | None = None) -> VisibilityResult:

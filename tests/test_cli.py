@@ -278,3 +278,14 @@ def test_out_of_range_flag_is_usage_error(tmp_path, args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["coherence", "pattern", "visibility"])
+def test_tolerance_flag_only_where_a_verdict_reads_it(tmp_path, command):
+    doc = {"amplitudes": EQUAL_TWO, "p_id": 0.7, "geometry": TWO_SLIT_GEOMETRY, "tolerance": 1e-9}
+    path = config_file(tmp_path, doc)
+    proc = run(command, "--config", path, "--tolerance", "5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--tolerance" in proc.stderr
+    assert run(command, "--config", path).returncode == 0

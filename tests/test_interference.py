@@ -243,6 +243,18 @@ class TestVisibility:
         with pytest.raises(DomainError):
             ScanSettings(starts=0)
 
+    @pytest.mark.parametrize(
+        "field", [{"grid_points": 2.9}, {"grid_points": 8.0}, {"starts": True}, {"seed": 1.5}, {"seed": "3"}]
+    )
+    def test_scan_settings_reject_non_integers(self, field):
+        with pytest.raises(DomainError):
+            ScanSettings(**field)
+
+    def test_scan_settings_accept_numpy_integers(self):
+        settings = ScanSettings(grid_points=np.int64(8), starts=np.int32(3), seed=np.uint64(7))
+        assert (settings.grid_points, settings.starts, settings.seed) == (8, 3, 7)
+        assert all(type(value) is int for value in (settings.grid_points, settings.starts, settings.seed))
+
 
 class TestBornResidual:
     def test_hand_worked_three_source_case(self):
