@@ -234,11 +234,14 @@ class ExperimentConfig:
             seed = self.scan_seed
         if override_seed is not None:
             seed = override_seed
-        return ScanSettings(
-            self.scan_grid_points if self.scan_grid_points is not None else DEFAULT_GRID_POINTS,
-            self.scan_starts if self.scan_starts is not None else DEFAULT_STARTS,
-            seed,
-        )
+        try:
+            return ScanSettings(
+                self.scan_grid_points if self.scan_grid_points is not None else DEFAULT_GRID_POINTS,
+                self.scan_starts if self.scan_starts is not None else DEFAULT_STARTS,
+                seed,
+            )
+        except InterfereError as exc:
+            raise ConfigError(f"bad scan: {exc}") from exc
 
     def to_json_dict(self) -> dict:
         """Rebuild the JSON document with the parsed numbers, bit for bit."""

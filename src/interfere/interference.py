@@ -27,7 +27,6 @@ off-diagonals are real and non-negative.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,7 +70,8 @@ class ScanSettings:
     phase) picks a start for each extremum; beyond four the starts are the
     zero vector and ``starts`` seeded random vectors, for each extremum.
     One coordinate descent then refines every start at once.  The same
-    seed always reproduces the same result.  Every field must be an integer.
+    seed always reproduces the same result.  Every field must be an integer;
+    the seed must not be negative, as ``numpy.random.default_rng`` requires.
     """
 
     grid_points: int = DEFAULT_GRID_POINTS
@@ -79,11 +79,11 @@ class ScanSettings:
     seed: int = DEFAULT_SCAN_SEED
 
     def __post_init__(self) -> None:
-        for name, least in (("grid_points", 2), ("starts", 1), ("seed", None)):
+        for name, least in (("grid_points", 2), ("starts", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
-            if least is not None and value < least:
+            if value < least:
                 raise DomainError(f"{name} must be at least {least}, got {value}")
             object.__setattr__(self, name, int(value))
 
@@ -278,26 +278,46 @@ def _descend(entries, base, pairs, starts, sense):
 def _grid_extrema(base, pairs, n, grid_points):
     """Grid points of the largest and smallest intensity, as rows of a (2, N) array.
 
-    Works one slab of the first free phase at a time to bound memory (with
-    one free phase the grid is one slab).  The slab order matches the
-    flattened C-order grid and the first strict improvement wins, so the
-    picks are the lexicographically smallest maximizer and minimizer.
+    Phase 0 stays 0.0 and every free phase runs over the same grid angles.
+    From three sources on, phase 1 takes one value per slab and the other
+    free phases span the slab; with one free phase the grid is one slab.
+    A pair term depends on two phases only, so it is tabulated with the
+    kernel's own expression: pairs clear of phase 1 once, before the slab
+    loop (at N = 4 one (g, g) table, for pair (2, 3)), pairs of phase 1 once
+    per slab (a scalar or a g-vector).  Each slab is ``base`` plus the terms
+    added in table order, the kernel's left fold, so every grid value has
+    the kernel's bits, and memory stays at one slab plus that one table.
+    The slab order matches the flattened C-order grid and the first strict
+    improvement wins, so the picks are the lexicographically smallest
+    maximizer and minimizer.
     """
     theta = 2.0 * np.pi * np.arange(grid_points) / grid_points
     tail = max(n - 2, 1)
-    mesh = np.meshgrid(*([theta] * tail), indexing="ij")
-    batch = np.zeros((mesh[0].size, n))
-    batch[:, n - tail:] = np.stack([m.ravel() for m in mesh], axis=1)
+    lead = n - 1 - tail  # 1 from three sources on: phase 1 is fixed per slab
+    phase = [0.0] * (1 + lead) + list(np.ix_(*[theta] * tail))
+    ij = list(zip(pairs.i.tolist(), pairs.j.tolist()))
+
+    def term(k):
+        i, j = ij[k]
+        return 2.0 * pairs.modulus[k] * np.cos((phase[i] - phase[j]) + pairs.arg[k])
+
+    tables = [None if lead and 1 in pair else term(k) for k, pair in enumerate(ij)]
+    slab = np.empty((grid_points,) * tail)
     best = np.array([-np.inf, np.inf])
+    found = np.zeros(2, dtype=np.intp)
+    for a in range(grid_points**lead):
+        if lead:
+            phase[1] = theta[a]
+        slab.fill(base)
+        for k, table in enumerate(tables):
+            np.add(slab, term(k) if table is None else table, out=slab)
+        hi, lo = np.argmax(slab), np.argmin(slab)
+        if slab.flat[hi] > best[0]:
+            best[0], found[0] = slab.flat[hi], a * slab.size + hi
+        if slab.flat[lo] < best[1]:
+            best[1], found[1] = slab.flat[lo], a * slab.size + lo
     picks = np.zeros((2, n))
-    for lead in itertools.product(theta, repeat=n - 1 - tail):
-        batch[:, 1:n - tail] = lead
-        values = _intensity_given_phases(base, pairs, batch)
-        hi, lo = np.argmax(values), np.argmin(values)
-        if values[hi] > best[0]:
-            best[0], picks[0] = values[hi], batch[hi]
-        if values[lo] < best[1]:
-            best[1], picks[1] = values[lo], batch[lo]
+    picks[:, 1:] = theta[np.stack(np.unravel_index(found, (grid_points,) * (n - 1)), axis=1)]
     return picks
 
 

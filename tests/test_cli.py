@@ -289,3 +289,24 @@ def test_tolerance_flag_only_where_a_verdict_reads_it(tmp_path, command):
     assert proc.stdout == ""
     assert "--tolerance" in proc.stderr
     assert run(command, "--config", path).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "command, flags, env_extra, scan",
+    [
+        ("born-check", ("--seed", "-1"), None, None),
+        ("visibility", (), {"INTERFERE_SEED": "-1"}, None),
+        ("visibility", (), None, {"seed": -1}),
+    ],
+    ids=["flag", "environment", "config"],
+)
+def test_negative_seed_is_usage_error(tmp_path, command, flags, env_extra, scan):
+    doc = {"amplitudes": EQUAL_THREE, "p_id": 1.0}
+    if scan is not None:
+        doc["scan"] = scan
+    proc = run(command, "--config", config_file(tmp_path, doc), *flags, env_extra=env_extra)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "seed must be at least 0" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1

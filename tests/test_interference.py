@@ -243,6 +243,12 @@ class TestVisibility:
         with pytest.raises(DomainError):
             ScanSettings(starts=0)
 
+    def test_scan_settings_reject_negative_seed(self):
+        # numpy.random.default_rng rejects a negative seed deep inside the scan.
+        with pytest.raises(DomainError, match="seed must be at least 0"):
+            ScanSettings(seed=-1)
+        assert ScanSettings(seed=0).seed == 0
+
     @pytest.mark.parametrize(
         "field", [{"grid_points": 2.9}, {"grid_points": 8.0}, {"starts": True}, {"seed": 1.5}, {"seed": "3"}]
     )

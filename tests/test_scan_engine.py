@@ -5,6 +5,8 @@ batched descent replaced it.  The library must reach the same
 ``(i_max, i_min)`` bit for bit on every state and every setting below.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,15 +55,37 @@ def _assert_same_bits(rho, settings):
     assert _same_bits(got, want), (got, want)
 
 
+@pytest.mark.parametrize("grid_points", [2, 3, 7, 16, 64])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_one_grid_sweep_picks_both_reference_points(n):
+def test_one_grid_sweep_picks_both_reference_points(n, grid_points):
+    # Odd sizes put no grid point on pi.
     rng = np.random.default_rng(4000 + n)
     for kind in KINDS:
         rho = kind(rng, n)
         base = float(rho.populations.sum())
-        picks = _grid_extrema(base, rho.pairs, n, 16)
+        picks = _grid_extrema(base, rho.pairs, n, grid_points)
         for pick, sense in zip(picks, (1.0, -1.0)):
-            assert _same_bits(pick, ref._grid_extremum(base, rho.pairs, n, 16, sense)[1])
+            assert _same_bits(pick, ref._grid_extremum(base, rho.pairs, n, grid_points, sense)[1])
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, grid_points", [(3, 1024), (4, 64)])
+def test_grid_sweep_memory_within_one_reference_pass(n, grid_points):
+    # The tabulated sweep holds one slab plus at most one (g, g) pair table,
+    # and that table exists only at N = 4.
+    rho = random_density(np.random.default_rng(4200 + n), n)
+    base = float(rho.populations.sum())
+    got = _peak_bytes(lambda: _grid_extrema(base, rho.pairs, n, grid_points))
+    want = _peak_bytes(lambda: ref._grid_extremum(base, rho.pairs, n, grid_points, 1.0))
+    assert got <= want, (got, want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
