@@ -41,7 +41,7 @@ from .coherence import coherence_matrix
 from .config import ConfigError, ExperimentConfig
 from .core import InterfereError, validate_density
 from .density import estimate_pid
-from .interference import born_residual, pattern, visibility
+from .interference import MAX_PATTERN_VALUES, born_residual, pattern, visibility
 
 _BORN_DEFAULT_TOL = 1e-12
 
@@ -164,6 +164,10 @@ def cmd_pattern(args) -> int:
     config = _load(args)
     if config.geometry is None:
         raise ConfigError("pattern needs a geometry section in the config")
+    if args.samples * config.n > MAX_PATTERN_VALUES:
+        raise ConfigError(
+            f"--samples {args.samples} for {config.n} sources exceeds {MAX_PATTERN_VALUES} pattern values"
+        )
     result = pattern(config.density(), config.geometry, args.x_min, args.x_max, args.samples)
     rows = [
         (_fmt(x), _fmt(value))

@@ -14,7 +14,9 @@ C(N, 2) differences appear in the intensity, so for three or more sources
 that number can exceed what any screen can show (it reaches 2.0 for three
 balanced fully coherent sources).  :func:`visibility` therefore reports
 both: ``formula_v``, the closed form taken at face value, and ``scan_v``,
-the extremization over physically realizable phase configurations.  They
+the extremization over physically realizable phase configurations, by one
+batched coordinate descent for every N from the phases of the state's top
+and bottom eigenvectors, the zero vector and seeded random starts.  They
 agree for two sources and genuinely part ways beyond that; neither is
 silently preferred.
 
@@ -61,17 +63,22 @@ _MAX_SWEEPS = 500
 _KERNEL_BLOCK = 1 << 15
 _NARROW_BLOCK = 128
 
+# Most screen samples times sources one pattern may hold: its phase rows
+# take 8 bytes per value, so this caps them at 128 MiB.
+MAX_PATTERN_VALUES = 1 << 24
+
 
 @dataclass(frozen=True)
 class ScanSettings:
     """Deterministic knobs for the visibility phase scan.
 
-    Up to four sources one sweep of a dense grid (``grid_points`` per free
-    phase) picks a start for each extremum; beyond four the starts are the
-    zero vector and ``starts`` seeded random vectors, for each extremum.
-    One coordinate descent then refines every start at once.  The same
-    seed always reproduces the same result.  Every field must be an integer;
-    the seed must not be negative, as ``numpy.random.default_rng`` requires.
+    For every number of sources each extremum starts from the zero vector,
+    the phases of the top and the bottom eigenvector of the state, and
+    ``starts`` seeded random vectors; one coordinate descent refines every
+    start at once.  The same seed always reproduces the same result.
+    ``grid_points`` is kept for the config schema and still validated, but
+    it no longer steers the search.  Every field must be an integer; the
+    seed must not be negative, as ``numpy.random.default_rng`` requires.
     """
 
     grid_points: int = DEFAULT_GRID_POINTS
@@ -225,6 +232,10 @@ def pattern(rho, geometry: DetectionGeometry, x_min: float, x_max: float, sample
         raise DimensionError(f"{geometry.n} source positions for {int(rho.n)} sources")
     if int(samples) < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
+    if int(samples) * geometry.n > MAX_PATTERN_VALUES:
+        raise DomainError(
+            f"{samples} samples of {geometry.n} sources exceed {MAX_PATTERN_VALUES} pattern values"
+        )
     if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
         raise DomainError(f"need x_min < x_max, got {x_min!r} and {x_max!r}")
     positions = np.linspace(float(x_min), float(x_max), int(samples))
@@ -242,29 +253,26 @@ def _descend(entries, base, pairs, starts, sense):
     ``starts`` holds one phase row per start (phi[0] stays 0) and ``sense``
     is +1 for a row that maximizes, -1 for one that minimizes.  Holding the
     other phases fixed, the objective's dependence on one phase is a single
-    sinusoid, so each coordinate update is a closed-form extremization.
-    Each update can only improve the objective; a row stops once a full
-    sweep gains no more than the stop threshold.  Each field sum starts from
-    ``0j`` and adds its terms in column order, with the complex products
-    spelled out in real parts, so a row gets the same bits as it would alone
-    in scalar arithmetic.
+    sinusoid, ``Re(exp(i phi_m) w)`` with the complex field sum
+    ``w = sum_{j != m} 2 rho_mj exp(-i phi_j)``, so each coordinate update is a
+    closed-form extremization: ``phi_m = -arg w`` for a maximum, ``pi - arg w``
+    for a minimum.  All rows share one matrix-vector product per coordinate
+    and one kernel call per sweep.  Each update can only improve the
+    objective; a row stops once a full sweep gains no more than the stop
+    threshold, or after ``_MAX_SWEEPS`` sweeps.
     """
     n = entries.shape[0]
     coef = 2.0 * entries
-    np.fill_diagonal(coef, 0.0)  # no self term: adding +-0.0 leaves a sum begun at 0j unchanged
+    np.fill_diagonal(coef, 0.0)
+    turn = np.where(sense > 0, 0.0, np.pi)
     phi = starts.T.copy()
     fields = np.exp(-1j * phi)
     values = _intensity_given_phases(base, pairs, starts)
     rows = np.arange(phi.shape[1])
     for _ in range(_MAX_SWEEPS):
         for m in range(1, n):
-            cr, ci = coef.real[m, :, None], coef.imag[m, :, None]
-            terms = np.stack([cr * fields.real - ci * fields.imag, cr * fields.imag + ci * fields.real])
-            terms[:, 0] += 0.0  # the sum starts from 0j: a -0.0 first term counts as +0.0
-            wr, wi = np.add.accumulate(terms, axis=1)[:, -1]
-            angle = np.arctan2(wi, wr)
-            turned = np.where(sense[rows] > 0, -angle, np.pi - angle)
-            phi[m] = np.where((wr != 0.0) | (wi != 0.0), turned, phi[m])
+            w = coef[m] @ fields
+            phi[m] = np.where(w != 0.0, turn[rows] - np.angle(w), phi[m])
             fields[m] = np.exp(-1j * phi[m])
         current = _intensity_given_phases(base, pairs, phi.T)
         going = sense[rows] * (current - values[rows]) > _REFINE_STOP
@@ -275,69 +283,18 @@ def _descend(entries, base, pairs, starts, sense):
     return values
 
 
-def _grid_extrema(base, pairs, n, grid_points):
-    """Grid points of the largest and smallest intensity, as rows of a (2, N) array.
-
-    Phase 0 stays 0.0 and every free phase runs over the same grid angles.
-    From three sources on, phase 1 takes one value per slab and the other
-    free phases span the slab; with one free phase the grid is one slab.
-    A pair term depends on two phases only, so it is tabulated with the
-    kernel's own expression: pairs clear of phase 1 once, before the slab
-    loop (at N = 4 one (g, g) table, for pair (2, 3)), pairs of phase 1 once
-    per slab (a scalar or a g-vector).  Each slab is ``base`` plus the terms
-    added in table order, the kernel's left fold, so every grid value has
-    the kernel's bits, and memory stays at one slab plus that one table.
-    The slab order matches the flattened C-order grid and the first strict
-    improvement wins, so the picks are the lexicographically smallest
-    maximizer and minimizer.
-    """
-    theta = 2.0 * np.pi * np.arange(grid_points) / grid_points
-    tail = max(n - 2, 1)
-    lead = n - 1 - tail  # 1 from three sources on: phase 1 is fixed per slab
-    phase = [0.0] * (1 + lead) + list(np.ix_(*[theta] * tail))
-    ij = list(zip(pairs.i.tolist(), pairs.j.tolist()))
-
-    def term(k):
-        i, j = ij[k]
-        return 2.0 * pairs.modulus[k] * np.cos((phase[i] - phase[j]) + pairs.arg[k])
-
-    tables = [None if lead and 1 in pair else term(k) for k, pair in enumerate(ij)]
-    slab = np.empty((grid_points,) * tail)
-    best = np.array([-np.inf, np.inf])
-    found = np.zeros(2, dtype=np.intp)
-    for a in range(grid_points**lead):
-        if lead:
-            phase[1] = theta[a]
-        slab.fill(base)
-        for k, table in enumerate(tables):
-            np.add(slab, term(k) if table is None else table, out=slab)
-        hi, lo = np.argmax(slab), np.argmin(slab)
-        if slab.flat[hi] > best[0]:
-            best[0], found[0] = slab.flat[hi], a * slab.size + hi
-        if slab.flat[lo] < best[1]:
-            best[1], found[1] = slab.flat[lo], a * slab.size + lo
-    picks = np.zeros((2, n))
-    picks[:, 1:] = theta[np.stack(np.unravel_index(found, (grid_points,) * (n - 1)), axis=1)]
-    return picks
-
-
 def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     """Extremize the intensity over realizable phases (first phase gauged to 0)."""
     n = int(rho.n)
+    # The intensity is v^H rho v with v = exp(-i phi): the phases of the top
+    # and bottom eigenvectors start next to the maximum and the minimum.
+    vectors = np.linalg.eigh(rho.entries)[1][:, [-1, 0]].T
+    seeded = np.zeros((settings.starts + 3, n))
+    seeded[1:3] = np.angle(vectors[:, :1]) - np.angle(vectors)
+    seeded[3:, 1:] = np.random.default_rng(settings.seed).uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
+    sense = np.repeat([1.0, -1.0], settings.starts + 3)
     base = float(rho.populations.sum())
-    pairs = rho.pairs
-    if not pairs.modulus.any():
-        return base, base
-    if n <= 4:
-        starts = _grid_extrema(base, pairs, n, settings.grid_points)
-        sense = np.array([1.0, -1.0])
-    else:
-        seeded = np.zeros((settings.starts + 1, n))
-        rng = np.random.default_rng(settings.seed)
-        seeded[1:, 1:] = rng.uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
-        starts = np.concatenate([seeded, seeded])
-        sense = np.repeat([1.0, -1.0], settings.starts + 1)
-    values = _descend(rho.entries, base, pairs, starts, sense)
+    values = _descend(rho.entries, base, rho.pairs, np.concatenate([seeded, seeded]), sense)
     return float(values[sense > 0].max()), float(values[sense < 0].min())
 
 

@@ -4,8 +4,9 @@ This is the scan the library's single-pass engine replaces: each extremum
 walks the N <= 4 grid on its own, and every start is refined alone, with
 the field sum of each coordinate update built term by term in Python.
 ``tests/test_scan_engine.py`` requires the library's ``(i_max, i_min)`` to
-match ``scan_extrema`` here bit for bit.  Both read the library's intensity
-kernel, which is held to its own per-pair reference in ``reference_pairs``.
+be no worse than ``scan_extrema`` here, up to 1e-12.  Both read the
+library's intensity kernel, which is held to its own per-pair reference in
+``reference_pairs``.
 """
 
 import numpy as np

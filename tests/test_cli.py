@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+from interfere import cli
+from interfere.interference import MAX_PATTERN_VALUES
+
 EQUAL_TWO = [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]
 EQUAL_THREE = [
     [0.5773502691896258, 0.0],
@@ -278,6 +281,30 @@ def test_out_of_range_flag_is_usage_error(tmp_path, args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("samples", [MAX_PATTERN_VALUES // 2 + 1, 10**9])
+def test_oversized_sampling_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, samples):
+    def reached(*args, **kwargs):
+        raise AssertionError("pattern was called")
+
+    monkeypatch.setattr(cli, "pattern", reached)
+    doc = {"amplitudes": EQUAL_TWO, "p_id": 0.7, "geometry": TWO_SLIT_GEOMETRY}
+    assert cli.main(["pattern", "--config", config_file(tmp_path, doc), "--samples", str(samples)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "pattern values" in captured.err
+
+
+@pytest.mark.parametrize("grid_points, code", [(256, 0), (1, 2)])
+def test_scan_grid_points_still_validated(tmp_path, grid_points, code):
+    # grid_points no longer steers the scan, but the config schema keeps it.
+    doc = {"amplitudes": EQUAL_THREE, "p_id": 1.0, "scan": {"grid_points": grid_points}}
+    proc = run("visibility", "--config", config_file(tmp_path, doc))
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: bad scan: grid_points must be at least 2")
 
 
 @pytest.mark.parametrize("command", ["coherence", "pattern", "visibility"])

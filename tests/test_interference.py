@@ -23,6 +23,8 @@ from interfere import (
     visibility,
 )
 
+from interfere.interference import MAX_PATTERN_VALUES, _scan_extrema
+
 from helpers import equal_model, random_density, random_family_state, random_model
 
 TWO_SLIT = DetectionGeometry([-5e-6, 5e-6], 1.0, 5e-7)
@@ -176,6 +178,20 @@ class TestPattern:
         result = pattern(rho, TWO_SLIT, -0.05, 0.05, 100001)
         assert -2 * PSD_TOL <= result.intensities.min() < 0
 
+    def test_oversized_sampling_rejected_before_allocating(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(np, "linspace", reached)
+        rho = mix(equal_model(2, 0.5))
+        with pytest.raises(Reached):
+            pattern(rho, TWO_SLIT, -0.05, 0.05, MAX_PATTERN_VALUES // 2)
+        with pytest.raises(DomainError, match="pattern values"):
+            pattern(rho, TWO_SLIT, -0.05, 0.05, MAX_PATTERN_VALUES // 2 + 1)
+
     def test_pattern_type_gate_scales_with_source_count(self):
         IntensityPattern(np.array([0.0, 1.0]), np.array([1.0, -1.5 * PSD_TOL]), TWO_SLIT)
         with pytest.raises(DomainError):
@@ -231,6 +247,29 @@ class TestVisibility:
             phi = np.concatenate([[0.0], rng.uniform(0, 2 * np.pi, size=2)])
             value = intensity(rho, phi)
             assert result.i_min - 1e-9 <= value <= result.i_max + 1e-9
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_state_at_psd_tolerance_gives_bracketing_extrema(self, n):
+        # The scan starts from eigh's eigenvectors, and an accepted state may
+        # be slightly indefinite.  Shifting a pure equal state down puts the
+        # dark points below zero; the other state shifts one random eigenvalue.
+        rng = np.random.default_rng(38 + n)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        values, vectors = np.linalg.eigh(a @ a.conj().T)
+        values[0] = -0.5 * PSD_TOL * values[1:].sum()
+        shifted_pure = np.full((n, n), 1.0 / n) - 0.5 * PSD_TOL * np.eye(n)
+        for entries in (shifted_pure, (vectors * values) @ vectors.conj().T):
+            rho = DensityMatrix(entries / np.trace(entries).real)
+            assert -PSD_TOL < validate_density(rho).min_eig < -0.4 * PSD_TOL
+            result = visibility(rho)
+            lowest = _scan_extrema(rho, ScanSettings())[1]
+            samples = [intensity(rho, row) for row in rng.uniform(0.0, 2.0 * np.pi, size=(64, n))]
+            assert result.i_min >= 0.0
+            assert result.i_max >= max(samples) - 1e-12
+            assert lowest <= min(samples) + 1e-12
+            assert result.i_min <= max(min(samples), 0.0) + 1e-12
+            if entries is shifted_pure:
+                assert lowest < 0.0
 
     def test_deterministic_above_grid_regime(self):
         rng = np.random.default_rng(37)

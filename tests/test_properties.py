@@ -80,6 +80,20 @@ def test_two_mode_visibilities_agree(seed):
     assert result.i_max >= result.i_min >= 0.0
 
 
+@given(seed=seeds, n=mode_counts, p_id=weights)
+@settings(deadline=None)
+def test_family_scan_meets_closed_forms(seed, n, p_id):
+    # The intensity is p |sum |a_i| e^(i theta_i)|^2 + 1 - p: largest with
+    # every phasor aligned, smallest at the polygon inequality's bound.
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n, p_id)
+    moduli = np.abs(model.amplitudes.values)
+    result = visibility(mix(model))
+    assert abs(result.i_max - (p_id * moduli.sum() ** 2 + 1.0 - p_id)) <= 1e-12
+    dark = max(0.0, 2.0 * moduli.max() - moduli.sum())
+    assert abs(result.i_min - (p_id * dark**2 + 1.0 - p_id)) <= 1e-9
+
+
 @given(seed=seeds, n=mode_counts)
 def test_coherence_matrix_structure(seed, n):
     rng = np.random.default_rng(seed)
