@@ -39,9 +39,9 @@ import numpy as np
 
 from .coherence import coherence_matrix
 from .config import ConfigError, ExperimentConfig
-from .core import InterfereError, validate_density
+from .core import DomainError, InterfereError, validate_density
 from .density import estimate_pid
-from .interference import MAX_PATTERN_VALUES, born_residual, pattern, visibility
+from .interference import born_residual, check_budget, pattern, visibility
 
 _BORN_DEFAULT_TOL = 1e-12
 
@@ -88,6 +88,14 @@ def _env_seed() -> int | None:
 
 def _load(args) -> ExperimentConfig:
     return ExperimentConfig.from_path(args.config)
+
+
+def _check_budget(rows: int, n: int, what: str) -> None:
+    """The library's work guard as a usage error, before any work starts."""
+    try:
+        check_budget(rows, n, what)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _tolerance(args, config: ExperimentConfig, default=None):
@@ -164,10 +172,7 @@ def cmd_pattern(args) -> int:
     config = _load(args)
     if config.geometry is None:
         raise ConfigError("pattern needs a geometry section in the config")
-    if args.samples * config.n > MAX_PATTERN_VALUES:
-        raise ConfigError(
-            f"--samples {args.samples} for {config.n} sources exceeds {MAX_PATTERN_VALUES} pattern values"
-        )
+    _check_budget(args.samples, config.n, f"--samples {args.samples}")
     result = pattern(config.density(), config.geometry, args.x_min, args.x_max, args.samples)
     rows = [
         (_fmt(x), _fmt(value))
@@ -180,6 +185,7 @@ def cmd_pattern(args) -> int:
 def cmd_visibility(args) -> int:
     config = _load(args)
     settings = config.scan_settings(env_seed=_env_seed())
+    _check_budget(settings.starts + 3, config.n, f"scan starts {settings.starts} + 3")
     result = visibility(config.density(), scan=settings)
     payload = {
         "formula_v": _jsonable(result.formula_v),
@@ -197,6 +203,7 @@ def cmd_born_check(args) -> int:
     config = _load(args)
     if args.phase_samples < 1:
         raise ConfigError(f"--phase-samples must be at least 1, got {args.phase_samples}")
+    _check_budget(args.phase_samples, config.n, f"--phase-samples {args.phase_samples}")
     rho = config.density()
     settings = config.scan_settings(override_seed=args.seed, env_seed=_env_seed())
     rng = np.random.default_rng(settings.seed)

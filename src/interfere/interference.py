@@ -14,11 +14,12 @@ C(N, 2) differences appear in the intensity, so for three or more sources
 that number can exceed what any screen can show (it reaches 2.0 for three
 balanced fully coherent sources).  :func:`visibility` therefore reports
 both: ``formula_v``, the closed form taken at face value, and ``scan_v``,
-the extremization over physically realizable phase configurations, by one
-batched coordinate descent for every N from the phases of the state's top
-and bottom eigenvectors, the zero vector and seeded random starts.  They
-agree for two sources and genuinely part ways beyond that; neither is
-silently preferred.
+the extremization over physically realizable phase configurations:
+``sum rho_ii +- 2 |rho_01|`` for two sources, and beyond that one batched
+coordinate descent over the unit fields ``exp(-i phi)``, from the phases
+of the top and bottom eigenvectors, the zero vector and seeded random
+starts.  They agree for two sources and genuinely part ways beyond that;
+neither is silently preferred.
 
 Complex off-diagonals
 ---------------------
@@ -63,22 +64,30 @@ _MAX_SWEEPS = 500
 _KERNEL_BLOCK = 1 << 15
 _NARROW_BLOCK = 128
 
-# Most screen samples times sources one pattern may hold: its phase rows
-# take 8 bytes per value, so this caps them at 128 MiB.
+# Most phase rows times sources one call may hold (screen samples, scan
+# starts, sampled phase vectors): at 8 bytes per value, 128 MiB.
 MAX_PATTERN_VALUES = 1 << 24
+
+
+def check_budget(rows: int, n: int, what: str) -> None:
+    """Reject ``rows`` phase rows of ``n`` sources beyond ``MAX_PATTERN_VALUES``."""
+    if rows * n > MAX_PATTERN_VALUES:
+        raise DomainError(f"{what} for {n} sources: more than {MAX_PATTERN_VALUES} pattern values")
 
 
 @dataclass(frozen=True)
 class ScanSettings:
     """Deterministic knobs for the visibility phase scan.
 
-    For every number of sources each extremum starts from the zero vector,
-    the phases of the top and the bottom eigenvector of the state, and
-    ``starts`` seeded random vectors; one coordinate descent refines every
-    start at once.  The same seed always reproduces the same result.
-    ``grid_points`` is kept for the config schema and still validated, but
-    it no longer steers the search.  Every field must be an integer; the
-    seed must not be negative, as ``numpy.random.default_rng`` requires.
+    Beyond two sources, which are solved in closed form, each extremum
+    starts from the zero vector, the phases of the top and the bottom
+    eigenvector of the state, and ``starts`` seeded random vectors; one
+    coordinate descent refines every start at once.  The same seed always
+    reproduces the same result.  ``grid_points`` is kept for the config
+    schema and still validated, but it no longer steers the search.  Every
+    field must be an integer; the seed must not be negative, as
+    ``numpy.random.default_rng`` requires.  :func:`visibility` rejects
+    ``(starts + 3) * N`` above ``MAX_PATTERN_VALUES`` before any work.
     """
 
     grid_points: int = DEFAULT_GRID_POINTS
@@ -232,10 +241,7 @@ def pattern(rho, geometry: DetectionGeometry, x_min: float, x_max: float, sample
         raise DimensionError(f"{geometry.n} source positions for {int(rho.n)} sources")
     if int(samples) < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
-    if int(samples) * geometry.n > MAX_PATTERN_VALUES:
-        raise DomainError(
-            f"{samples} samples of {geometry.n} sources exceed {MAX_PATTERN_VALUES} pattern values"
-        )
+    check_budget(int(samples), geometry.n, f"{samples} samples")
     if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
         raise DomainError(f"need x_min < x_max, got {x_min!r} and {x_max!r}")
     positions = np.linspace(float(x_min), float(x_max), int(samples))
@@ -251,41 +257,46 @@ def _descend(entries, base, pairs, starts, sense):
     """Exact coordinate descent from every start at once; the values reached.
 
     ``starts`` holds one phase row per start (phi[0] stays 0) and ``sense``
-    is +1 for a row that maximizes, -1 for one that minimizes.  Holding the
-    other phases fixed, the objective's dependence on one phase is a single
-    sinusoid, ``Re(exp(i phi_m) w)`` with the complex field sum
-    ``w = sum_{j != m} 2 rho_mj exp(-i phi_j)``, so each coordinate update is a
-    closed-form extremization: ``phi_m = -arg w`` for a maximum, ``pi - arg w``
-    for a minimum.  All rows share one matrix-vector product per coordinate
-    and one kernel call per sweep.  Each update can only improve the
-    objective; a row stops once a full sweep gains no more than the stop
-    threshold, or after ``_MAX_SWEEPS`` sweeps.
+    is +1 for a row that maximizes, -1 for one that minimizes.  Each row
+    carries its unit fields ``v = exp(-i phi)``; the objective ``v^H rho v``
+    depends on one ``v_m`` only through ``Re(conj(v_m) w)`` with the field
+    sum ``w = sum_{j != m} 2 rho_mj v_j`` (one matrix-vector product for all
+    rows), so each update is the closed form ``v_m = sense * w / |w|``: kept
+    where ``w == 0``, divided part by part so a subnormal ``|w|`` cannot
+    overflow.  A row stops once a sweep raises its ``v^H rho v`` by no more
+    than the stop threshold, or after ``_MAX_SWEEPS`` sweeps; its value is
+    the kernel's at ``phi = -arg v``.
     """
-    n = entries.shape[0]
-    coef = 2.0 * entries
-    np.fill_diagonal(coef, 0.0)
-    turn = np.where(sense > 0, 0.0, np.pi)
-    phi = starts.T.copy()
-    fields = np.exp(-1j * phi)
-    values = _intensity_given_phases(base, pairs, starts)
-    rows = np.arange(phi.shape[1])
+    coef = 2.0 * (entries - np.diag(entries.diagonal()))
+    fields = np.exp(-1j * starts).T.copy()
+    values = (fields.conj() * (entries @ fields)).real.sum(0)
+    rows, moving, sign = np.arange(fields.shape[1]), fields, sense
     for _ in range(_MAX_SWEEPS):
-        for m in range(1, n):
-            w = coef[m] @ fields
-            phi[m] = np.where(w != 0.0, turn[rows] - np.angle(w), phi[m])
-            fields[m] = np.exp(-1j * phi[m])
-        current = _intensity_given_phases(base, pairs, phi.T)
-        going = sense[rows] * (current - values[rows]) > _REFINE_STOP
+        for m in range(1, len(coef)):
+            w = coef[m] @ moving
+            size = np.abs(w) * sign
+            np.divide(w.real, size, out=moving.real[m], where=(live := size != 0.0))
+            np.divide(w.imag, size, out=moving.imag[m], where=live)
+        current = (moving.conj() * (entries @ moving)).real.sum(0)
+        going = sign * (current - values[rows]) > _REFINE_STOP
         values[rows] = current
-        rows, phi, fields = rows[going], phi[:, going], fields[:, going]
-        if not rows.size:
-            break
-    return values
+        if not going.all():
+            fields[:, rows] = moving
+            rows, moving, sign = rows[going], moving.compress(going, 1), sign[going]
+            if not rows.size:
+                break
+    fields[:, rows] = moving
+    return _intensity_given_phases(base, pairs, -np.angle(fields.T))
 
 
 def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     """Extremize the intensity over realizable phases (first phase gauged to 0)."""
     n = int(rho.n)
+    base = float(rho.populations.sum())
+    if n == 2:
+        # One free phase sweeps the one pair term through its whole range.
+        swing = 2.0 * float(rho.pairs.modulus[0])
+        return base + swing, base - swing
     # The intensity is v^H rho v with v = exp(-i phi): the phases of the top
     # and bottom eigenvectors start next to the maximum and the minimum.
     vectors = np.linalg.eigh(rho.entries)[1][:, [-1, 0]].T
@@ -293,7 +304,6 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     seeded[1:3] = np.angle(vectors[:, :1]) - np.angle(vectors)
     seeded[3:, 1:] = np.random.default_rng(settings.seed).uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
     sense = np.repeat([1.0, -1.0], settings.starts + 3)
-    base = float(rho.populations.sum())
     values = _descend(rho.entries, base, rho.pairs, np.concatenate([seeded, seeded]), sense)
     return float(values[sense > 0].max()), float(values[sense < 0].min())
 
@@ -306,6 +316,7 @@ def visibility(rho, scan: ScanSettings | None = None) -> VisibilityResult:
     """
     rho = as_density(rho)
     settings = scan if scan is not None else ScanSettings()
+    check_budget(settings.starts + 3, int(rho.n), f"{settings.starts} + 3 scan starts")
     formula_v = 2.0 * float(rho.pairs.modulus.sum()) / float(rho.populations.sum())
 
     report = estimate_pid(rho)

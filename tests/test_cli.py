@@ -296,6 +296,30 @@ def test_oversized_sampling_is_usage_error_before_any_work(tmp_path, monkeypatch
     assert captured.err.startswith("error: ") and "pattern values" in captured.err
 
 
+@pytest.mark.parametrize(
+    "source, command",
+    [
+        pytest.param("config", ["visibility"], id="config-starts"),
+        pytest.param("flag", ["born-check", "--phase-samples", str(MAX_PATTERN_VALUES // 3 + 1)], id="phase-samples"),
+    ],
+)
+def test_oversized_scan_work_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, source, command):
+    def reached(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", reached)
+    monkeypatch.setattr(cli, "visibility", reached)
+    monkeypatch.setattr(cli, "born_residual", reached)
+    doc = {"amplitudes": EQUAL_THREE, "p_id": 1.0}
+    if source == "config":
+        doc["scan"] = {"starts": MAX_PATTERN_VALUES // 3 - 2}
+    assert cli.main([command[0], "--config", config_file(tmp_path, doc), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "pattern values" in captured.err
+
+
 @pytest.mark.parametrize("grid_points, code", [(256, 0), (1, 2)])
 def test_scan_grid_points_still_validated(tmp_path, grid_points, code):
     # grid_points no longer steers the scan, but the config schema keeps it.

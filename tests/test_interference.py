@@ -1,5 +1,7 @@
 """Screen physics: intensity, geometry phases, patterns, visibility, Born check."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from interfere import (
     visibility,
 )
 
+from interfere import interference
 from interfere.interference import MAX_PATTERN_VALUES, _scan_extrema
 
 from helpers import equal_model, random_density, random_family_state, random_model
@@ -270,6 +273,50 @@ class TestVisibility:
             assert result.i_min <= max(min(samples), 0.0) + 1e-12
             if entries is shifted_pure:
                 assert lowest < 0.0
+
+    def test_two_sources_in_closed_form(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("the two-source scan ran a search")
+
+        monkeypatch.setattr(interference, "_descend", reached)
+        monkeypatch.setattr(np.linalg, "eigh", reached)
+        rng = np.random.default_rng(39)
+        states = [kind(rng, 2) for kind in (random_density, random_family_state) for _ in range(20)]
+        for rho in states + [mix(equal_model(2, 1.0)), DensityMatrix(np.diag([0.25, 0.75]))]:
+            base = float(rho.populations.sum())
+            modulus = float(rho.pairs.modulus[0])
+            assert _scan_extrema(rho, ScanSettings()) == (base + 2.0 * modulus, base - 2.0 * modulus)
+            result = visibility(rho)
+            assert (result.i_max, result.i_min) == (base + 2.0 * modulus, max(base - 2.0 * modulus, 0.0))
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_subnormal_coherences_give_finite_extrema_without_warnings(self, n):
+        # Field sums near 1e-310 are subnormal: dividing by |w| as a complex
+        # number forms 1 / |w|, which overflows.
+        rng = np.random.default_rng(40 + n)
+        off = np.triu(1e-310 * rng.uniform(0.5, 1.0, (n, n)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n))), 1)
+        rho = DensityMatrix(np.eye(n) / n + off + off.conj().T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = visibility(rho)
+        assert (result.i_max, result.i_min, result.scan_v) == (1.0, 1.0, 0.0)
+
+    def test_scan_starts_rejected_before_any_work(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        rho = random_density(np.random.default_rng(41), 3)
+        monkeypatch.setattr(np.random, "default_rng", reached)
+        monkeypatch.setattr(np.linalg, "eigh", reached)
+        largest = MAX_PATTERN_VALUES // 3 - 3
+        with pytest.raises(Reached):
+            visibility(rho, ScanSettings(starts=largest))
+        for starts in (largest + 1, 10**30):
+            with pytest.raises(DomainError, match="pattern values"):
+                visibility(rho, ScanSettings(starts=starts))
 
     def test_deterministic_above_grid_regime(self):
         rng = np.random.default_rng(37)
