@@ -18,9 +18,10 @@ Six subcommands, one job each:
     Max absolute pairwise-decomposition residual over sampled phases.
 
 Exit codes: 0 success, 1 the computation ran but the verdict is negative
-(invalid state, inconsistent readings, residual above tolerance), 2 the
-command never got to a verdict (bad usage, unreadable or malformed
-config).
+(invalid state, inconsistent readings, residual above tolerance) or any
+other library error, 2 the command never got to a verdict (bad usage,
+unreadable or malformed config, or a library ``DomainError``: an argument
+outside its domain).  ``pattern`` reports an invalid state before a bad flag.
 
 Output conventions: source indices are 1-based here (library code is
 0-based); floats print with 17 significant digits so every double
@@ -86,18 +87,6 @@ def _env_seed() -> int | None:
         raise ConfigError(f"INTERFERE_SEED must be an integer, got {raw!r}") from None
 
 
-def _load(args) -> ExperimentConfig:
-    return ExperimentConfig.from_path(args.config)
-
-
-def _check_budget(rows: int, n: int, what: str) -> None:
-    """The library's work guard as a usage error, before any work starts."""
-    try:
-        check_budget(rows, n, what)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _tolerance(args, config: ExperimentConfig, default=None):
     """Flag beats config beats the command's default."""
     if args.tolerance is not None:
@@ -108,7 +97,7 @@ def _tolerance(args, config: ExperimentConfig, default=None):
 
 
 def cmd_validate(args) -> int:
-    config = _load(args)
+    config = ExperimentConfig.from_path(args.config)
     report = validate_density(config.state_matrix(), tol=_tolerance(args, config))
     payload = {
         "hermitian": report.hermitian,
@@ -121,7 +110,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pid(args) -> int:
-    config = _load(args)
+    config = ExperimentConfig.from_path(args.config)
     tol = _tolerance(args, config)
     report = estimate_pid(config.density(), **({} if tol is None else {"consistency_tol": tol}))
     payload = {
@@ -144,7 +133,7 @@ def cmd_pid(args) -> int:
 
 
 def cmd_coherence(args) -> int:
-    config = _load(args)
+    config = ExperimentConfig.from_path(args.config)
     matrix = coherence_matrix(config.density())
     rows = []
     for i in range(matrix.entries.shape[0]):
@@ -165,14 +154,9 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_pattern(args) -> int:
-    if args.samples < 2:
-        raise ConfigError(f"--samples must be at least 2, got {args.samples}")
-    if not (math.isfinite(args.x_min) and math.isfinite(args.x_max) and args.x_min < args.x_max):
-        raise ConfigError(f"--x-min must be below --x-max, got {args.x_min!r} and {args.x_max!r}")
-    config = _load(args)
+    config = ExperimentConfig.from_path(args.config)
     if config.geometry is None:
         raise ConfigError("pattern needs a geometry section in the config")
-    _check_budget(args.samples, config.n, f"--samples {args.samples}")
     result = pattern(config.density(), config.geometry, args.x_min, args.x_max, args.samples)
     rows = [
         (_fmt(x), _fmt(value))
@@ -183,9 +167,8 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_visibility(args) -> int:
-    config = _load(args)
+    config = ExperimentConfig.from_path(args.config)
     settings = config.scan_settings(env_seed=_env_seed())
-    _check_budget(settings.starts + 3, config.n, f"scan starts {settings.starts} + 3")
     result = visibility(config.density(), scan=settings)
     payload = {
         "formula_v": _jsonable(result.formula_v),
@@ -200,10 +183,10 @@ def cmd_visibility(args) -> int:
 
 
 def cmd_born_check(args) -> int:
-    config = _load(args)
+    config = ExperimentConfig.from_path(args.config)
     if args.phase_samples < 1:
         raise ConfigError(f"--phase-samples must be at least 1, got {args.phase_samples}")
-    _check_budget(args.phase_samples, config.n, f"--phase-samples {args.phase_samples}")
+    check_budget(args.phase_samples, config.n, f"--phase-samples {args.phase_samples}")
     rho = config.density()
     settings = config.scan_settings(override_seed=args.seed, env_seed=_env_seed())
     rng = np.random.default_rng(settings.seed)
@@ -256,10 +239,7 @@ def main(argv=None) -> int:
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
             raise ConfigError(f"--tolerance must be a finite positive number, got {tolerance!r}")
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InterfereError as exc:

@@ -25,13 +25,7 @@ import numpy as np
 
 from .core import Amplitudes, EmissionModel, InterfereError, as_density
 from .density import mix
-from .interference import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_SCAN_SEED,
-    DEFAULT_STARTS,
-    DetectionGeometry,
-    ScanSettings,
-)
+from .interference import DetectionGeometry, ScanSettings
 
 # A config's amplitudes may be off normalization by this much; they are
 # rescaled exactly before use.  Looser than the library's own 1e-9 gate on
@@ -226,20 +220,15 @@ class ExperimentConfig:
         return mix(model)
 
     def scan_settings(self, override_seed=None, env_seed=None) -> ScanSettings:
-        """Resolve scan settings: flag beats config beats environment beats default."""
-        seed = DEFAULT_SCAN_SEED
-        if env_seed is not None:
-            seed = env_seed
+        """Resolve scan settings: flag beats config beats environment beats ScanSettings' default."""
+        seed = env_seed
         if self.scan_seed is not None:
             seed = self.scan_seed
         if override_seed is not None:
             seed = override_seed
+        given = {"grid_points": self.scan_grid_points, "starts": self.scan_starts, "seed": seed}
         try:
-            return ScanSettings(
-                self.scan_grid_points if self.scan_grid_points is not None else DEFAULT_GRID_POINTS,
-                self.scan_starts if self.scan_starts is not None else DEFAULT_STARTS,
-                seed,
-            )
+            return ScanSettings(**{name: value for name, value in given.items() if value is not None})
         except InterfereError as exc:
             raise ConfigError(f"bad scan: {exc}") from exc
 

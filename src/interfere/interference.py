@@ -338,11 +338,12 @@ def born_residual(rho, phases) -> float:
     sources blocked, nothing renormalized) and a single-source intensity
     is just its population.  The intensity law is bilinear, so the
     combination vanishes identically; any nonzero value is roundoff.
+    Raises :class:`DimensionError` for N < 3 or a wrong phase count.
     """
     rho = as_density(rho)
     n = int(rho.n)
     if n < 3:
-        raise DomainError(f"born residual requires N >= 3 sources, got {n}")
+        raise DimensionError(f"born residual requires N >= 3 sources, got {n}")
     phases = as_phases(phases)
     if phases.n != n:
         raise DimensionError(f"{phases.n} phases for {n} sources")

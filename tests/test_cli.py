@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from interfere import cli
+from interfere import DomainError, cli
 from interfere.interference import MAX_PATTERN_VALUES
 
 EQUAL_TWO = [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]
@@ -271,6 +271,8 @@ class TestUsage:
     [
         ("pattern", "--samples", "1"),
         ("pattern", "--x-min", "0.1", "--x-max", "-0.1"),
+        ("pattern", "--x-min", "nan"),
+        ("pattern", "--x-min", "0", "--x-max", "5e-324", "--samples", "3"),
         ("validate", "--tolerance", "-1"),
         ("pid", "--tolerance", "0"),
     ],
@@ -283,12 +285,38 @@ def test_out_of_range_flag_is_usage_error(tmp_path, args):
     assert proc.stderr.startswith("error: ")
 
 
+def test_library_domain_error_is_usage_error(tmp_path, monkeypatch, capsys, family2):
+    def outside(*args, **kwargs):
+        raise DomainError("an argument outside its domain")
+
+    monkeypatch.setattr(cli, "visibility", outside)
+    doc = {"amplitudes": EQUAL_THREE, "p_id": 1.0}
+    assert cli.main(["visibility", "--config", config_file(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: an argument outside its domain\n"
+    # Too few sources is a DimensionError, not a usage error.
+    assert cli.main(["born-check", "--config", family2]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: born residual requires N >= 3 sources, got 2\n"
+
+
+def test_invalid_state_is_reported_before_a_bad_pattern_flag(tmp_path, capsys):
+    doc = {"rho": [[[0.45, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.45, 0.0]]], "geometry": TWO_SLIT_GEOMETRY}
+    assert cli.main(["pattern", "--config", config_file(tmp_path, doc), "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not a valid density matrix")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("samples", [MAX_PATTERN_VALUES // 2 + 1, 10**9])
 def test_oversized_sampling_is_usage_error_before_any_work(tmp_path, monkeypatch, capsys, samples):
     def reached(*args, **kwargs):
-        raise AssertionError("pattern was called")
+        raise AssertionError("the screen positions were allocated")
 
-    monkeypatch.setattr(cli, "pattern", reached)
+    monkeypatch.setattr(cli.np, "linspace", reached)
     doc = {"amplitudes": EQUAL_TWO, "p_id": 0.7, "geometry": TWO_SLIT_GEOMETRY}
     assert cli.main(["pattern", "--config", config_file(tmp_path, doc), "--samples", str(samples)]) == 2
     captured = capsys.readouterr()
@@ -308,7 +336,7 @@ def test_oversized_scan_work_is_usage_error_before_any_work(tmp_path, monkeypatc
         raise AssertionError("work started")
 
     monkeypatch.setattr(cli.np.random, "default_rng", reached)
-    monkeypatch.setattr(cli, "visibility", reached)
+    monkeypatch.setattr(cli.np.linalg, "eigh", reached)
     monkeypatch.setattr(cli, "born_residual", reached)
     doc = {"amplitudes": EQUAL_THREE, "p_id": 1.0}
     if source == "config":

@@ -369,7 +369,7 @@ class TestBornResidual:
         assert born_residual(rho, [0.4, 1.5, 2.6]) == pytest.approx(0.0, abs=1e-15)
 
     def test_two_sources_rejected(self):
-        with pytest.raises(DomainError, match="requires N >= 3"):
+        with pytest.raises(DimensionError, match="requires N >= 3"):
             born_residual(mix(equal_model(2, 1.0)), [0.0, 1.0])
 
     def test_phase_count_mismatch(self):
