@@ -223,6 +223,12 @@ def intensity(rho, phases, k=None) -> float:
     return float(as_scale(k).intensity_scale * value)
 
 
+def _path_phases(geometry: DetectionGeometry, positions: np.ndarray) -> np.ndarray:
+    """(N, M) propagation phases: one contiguous row per source, one column per point."""
+    paths = np.hypot(geometry.screen_distance, positions[None, :] - geometry.source_positions[:, None])
+    return 2.0 * np.pi / geometry.wavelength * paths
+
+
 def phases_from_geometry(geometry: DetectionGeometry, screen_x: float) -> PhaseConfig:
     """Exact propagation phases from every source to the screen point.
 
@@ -230,26 +236,34 @@ def phases_from_geometry(geometry: DetectionGeometry, screen_x: float) -> PhaseC
     """
     if not np.isfinite(screen_x):
         raise DomainError(f"screen coordinate must be finite, got {screen_x!r}")
-    paths = np.hypot(geometry.screen_distance, float(screen_x) - geometry.source_positions)
-    return PhaseConfig(2.0 * np.pi / geometry.wavelength * paths)
+    return PhaseConfig(_path_phases(geometry, np.array([float(screen_x)]))[:, 0])
 
 
 def pattern(rho, geometry: DetectionGeometry, x_min: float, x_max: float, samples: int) -> IntensityPattern:
-    """Intensity sampled on a uniform screen grid, endpoints included."""
+    """Intensity sampled on a uniform screen grid, endpoints included.
+
+    An interval whose spacing or phases overflow is rejected before any
+    work; the longest path is at an end, so the two ends decide.
+    """
     rho = as_density(rho)
     if geometry.n != int(rho.n):
         raise DimensionError(f"{geometry.n} source positions for {int(rho.n)} sources")
-    if int(samples) < 2:
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise DomainError(f"samples must be an integer, got {samples!r}")
+    if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
     check_budget(int(samples), geometry.n, f"{samples} samples")
     if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
         raise DomainError(f"need x_min < x_max, got {x_min!r} and {x_max!r}")
-    positions = np.linspace(float(x_min), float(x_max), int(samples))
-    phase_rows = (
-        2.0 * np.pi / geometry.wavelength
-        * np.hypot(geometry.screen_distance, positions[:, None] - geometry.source_positions[None, :])
-    )
-    values = _intensity_given_phases(float(rho.populations.sum()), rho.pairs, phase_rows)
+    x_min, x_max = float(x_min), float(x_max)
+    with np.errstate(over="ignore"):
+        ends = _path_phases(geometry, np.array([x_min, x_max]))
+    if not (math.isfinite(x_max - x_min) and np.isfinite(ends).all()):
+        raise DomainError(f"screen interval [{x_min!r}, {x_max!r}] overflows the sample spacing or the phases")
+    positions = np.linspace(x_min, x_max, int(samples))
+    phase_table = _path_phases(geometry, positions)
+    # The kernel transposes back, so the source rows it gathers are contiguous.
+    values = _intensity_given_phases(float(rho.populations.sum()), rho.pairs, phase_table.T)
     return IntensityPattern(positions, values, geometry)
 
 

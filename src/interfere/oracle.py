@@ -13,7 +13,10 @@ higher-order correlation vanishes from the operator algebra itself rather
 than from a numerical cutoff.
 
 Dense matrices throughout, by design.  Simplicity beats speed in a
-cross-check.
+cross-check.  One shortcut is exact: ``a_m = |vac><m|`` is zero outside
+its vacuum-row entry, so the detection field ``E+ = k sum_m exp(i phi_m) a_m``
+is written as that one row, entry for entry the same matrix as the summed
+ladder operators, and the trace still takes the literal dense products.
 """
 
 from dataclasses import dataclass, field
@@ -113,7 +116,12 @@ def trace_correlation(rho_full: np.ndarray, operators) -> complex:
 
 
 def field_operator(space: FockSpace, phases: PhaseConfig, k=None) -> np.ndarray:
-    """Positive-frequency detection field ``k * sum_m a_m exp(i phi_m)``."""
+    """Positive-frequency detection field ``k * sum_m a_m exp(i phi_m)``.
+
+    Every ``a_m`` holds a single 1 at ``[0, m + 1]``, so the sum is the zero
+    matrix with ``exp(i phi_m)`` along its vacuum row: the same operator,
+    bit for bit, built without N ladder matrices.
+    """
     phases = as_phases(phases)
     if phases.n != int(space.n_modes):
         raise DimensionError(
@@ -121,8 +129,7 @@ def field_operator(space: FockSpace, phases: PhaseConfig, k=None) -> np.ndarray:
         )
     scale = as_scale(k)
     out = np.zeros((space.dimension, space.dimension), dtype=complex)
-    for m in range(int(space.n_modes)):
-        out += np.exp(1j * phases.phases[m]) * annihilation(space, m).matrix
+    out[0, 1:] = np.exp(1j * phases.phases)
     return scale.k * out
 
 

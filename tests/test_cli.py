@@ -275,6 +275,7 @@ class TestUsage:
         ("pattern", "--x-min", "0", "--x-max", "5e-324", "--samples", "3"),
         ("validate", "--tolerance", "-1"),
         ("pid", "--tolerance", "0"),
+        ("pattern", "--x-min", "1e300", "--x-max", "1e308", "--samples", "3"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(tmp_path, args):
@@ -282,7 +283,7 @@ def test_out_of_range_flag_is_usage_error(tmp_path, args):
     proc = run(args[0], "--config", config_file(tmp_path, doc), *args[1:])
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_library_domain_error_is_usage_error(tmp_path, monkeypatch, capsys, family2):

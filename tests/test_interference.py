@@ -161,6 +161,10 @@ class TestPattern:
             pattern(rho, TWO_SLIT, 0.05, -0.05, 11)
         with pytest.raises(DomainError):
             pattern(rho, TWO_SLIT, -0.05, 0.05, 1)
+        for samples in (2.9, 11.0, True, "11"):
+            with pytest.raises(DomainError, match="must be an integer"):
+                pattern(rho, TWO_SLIT, -0.05, 0.05, samples)
+        assert len(pattern(rho, TWO_SLIT, -0.05, 0.05, np.int64(11)).positions) == 11
 
     def test_geometry_source_count_mismatch(self):
         with pytest.raises(DimensionError):
@@ -194,6 +198,29 @@ class TestPattern:
             pattern(rho, TWO_SLIT, -0.05, 0.05, MAX_PATTERN_VALUES // 2)
         with pytest.raises(DomainError, match="pattern values"):
             pattern(rho, TWO_SLIT, -0.05, 0.05, MAX_PATTERN_VALUES // 2 + 1)
+
+    def test_overflowing_phases_rejected_before_allocating(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("the screen positions were allocated")
+
+        monkeypatch.setattr(np, "linspace", reached)
+        rho = mix(equal_model(2, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                pattern(rho, DetectionGeometry([0.0, 1e-5], 1.0, 5e-7), 1e300, 1e308, 3)
+            # Phases finite at both ends, but the interval is wider than the largest double.
+            with pytest.raises(DomainError, match="overflows"):
+                pattern(rho, DetectionGeometry([0.0, 1e-5], 1.0, 1e6), -1e308, 1e308, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+    def test_matches_single_point_intensity_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        rho = random_density(rng, n)
+        geometry = DetectionGeometry(np.sort(rng.uniform(-2e-5, 2e-5, n)), rng.uniform(0.5, 2.0), rng.uniform(4e-7, 7e-7))
+        result = pattern(rho, geometry, -0.05, 0.05, 1001)
+        for x, value in zip(result.positions, result.intensities):
+            assert value == intensity(rho, phases_from_geometry(geometry, x))
 
     def test_pattern_type_gate_scales_with_source_count(self):
         IntensityPattern(np.array([0.0, 1.0]), np.array([1.0, -1.5 * PSD_TOL]), TWO_SLIT)

@@ -154,6 +154,20 @@ class TestOracleIntensity:
                 intensity(rho, phi, k), abs=1e-12
             )
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+    def test_field_operator_is_the_literal_operator_sum(self, n):
+        rng = np.random.default_rng(200 + n)
+        space = FockSpace(n)
+        for phi in (rng.uniform(0, 2 * np.pi, size=n), rng.uniform(-1e7, 1e7, size=n)):
+            for k in (None, complex(rng.normal(), rng.normal())):
+                total = np.zeros((n + 1, n + 1), dtype=complex)
+                for m in range(n):
+                    total += np.exp(1j * phi[m]) * annihilation(space, m).matrix
+                expected = (1.0 + 0.0j if k is None else k) * total
+                got = field_operator(space, phi, k)
+                assert np.array_equal(got, expected)
+                assert np.array_equal(np.signbit(got.view(float)), np.signbit(expected.view(float)))
+
     def test_field_operator_shape(self):
         space = FockSpace(3)
         op = field_operator(space, [0.0, 1.0, 2.0])
