@@ -29,7 +29,6 @@ arbitrary valid states and reduces to the plain-cosine form when the
 off-diagonals are real and non-negative.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -58,11 +57,8 @@ DEFAULT_SCAN_SEED = 1905
 _REFINE_STOP = 1e-12
 _MAX_SWEEPS = 500
 
-# Pair terms per block of phase rows in the intensity kernel.  Below
-# _NARROW_BLOCK rows one np.add.accumulate sums a block's pair terms faster
-# than a Python loop over its pairs; above it, at a few ns per term, slower.
+# Pair terms per block of phase rows in the intensity kernel: O(M) memory.
 _KERNEL_BLOCK = 1 << 15
-_NARROW_BLOCK = 128
 
 # Most phase rows times sources one call may hold (screen samples, scan
 # starts, sampled phase vectors): at 8 bytes per value, 128 MiB.
@@ -188,7 +184,9 @@ def _intensity_given_phases(base: float, pairs: PairTable, phases) -> np.ndarray
 
     Each result is ``base`` plus the pair terms added one at a time in table
     order, so every caller gets the same bits for the same phases.  Rows go
-    in blocks of ``_KERNEL_BLOCK`` terms, so memory stays O(M).
+    in blocks of ``_KERNEL_BLOCK`` terms; ``sum(0)`` folds a block's pair
+    rows in that order, but numpy sums a one-row block pairwise, so that
+    one takes ``np.add.accumulate``.
     """
     columns = np.atleast_2d(phases).T
     step = max(1, _KERNEL_BLOCK // pairs.i.shape[0])
@@ -201,10 +199,7 @@ def _intensity_given_phases(base: float, pairs: PairTable, phases) -> np.ndarray
         np.cos(terms, out=terms)
         terms *= 2.0 * pairs.modulus[:, None]
         terms[0] = base + terms[0]
-        if block.shape[1] < _NARROW_BLOCK:
-            total[start:start + step] = np.add.accumulate(terms)[-1]
-        else:
-            total[start:start + step] = functools.reduce(np.add, terms)
+        total[start:start + step] = terms.sum(0) if block.shape[1] > 1 else np.add.accumulate(terms)[-1]
     return total
 
 
@@ -224,15 +219,17 @@ def intensity(rho, phases, k=None) -> float:
 
 
 def _path_phases(geometry: DetectionGeometry, positions: np.ndarray) -> np.ndarray:
-    """(N, M) propagation phases: one contiguous row per source, one column per point."""
-    paths = np.hypot(geometry.screen_distance, positions[None, :] - geometry.source_positions[:, None])
-    return 2.0 * np.pi / geometry.wavelength * paths
+    """(N, M) propagation phases, one contiguous row per source; inf where a phase overflows."""
+    with np.errstate(over="ignore"):
+        paths = np.hypot(geometry.screen_distance, positions[None, :] - geometry.source_positions[:, None])
+        return 2.0 * np.pi / geometry.wavelength * paths
 
 
 def phases_from_geometry(geometry: DetectionGeometry, screen_x: float) -> PhaseConfig:
     """Exact propagation phases from every source to the screen point.
 
     ``phi_m = (2 pi / wavelength) * hypot(screen_distance, screen_x - s_m)``.
+    A point whose phases overflow raises ``DomainError``.
     """
     if not np.isfinite(screen_x):
         raise DomainError(f"screen coordinate must be finite, got {screen_x!r}")
@@ -256,8 +253,7 @@ def pattern(rho, geometry: DetectionGeometry, x_min: float, x_max: float, sample
     if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
         raise DomainError(f"need x_min < x_max, got {x_min!r} and {x_max!r}")
     x_min, x_max = float(x_min), float(x_max)
-    with np.errstate(over="ignore"):
-        ends = _path_phases(geometry, np.array([x_min, x_max]))
+    ends = _path_phases(geometry, np.array([x_min, x_max]))
     if not (math.isfinite(x_max - x_min) and np.isfinite(ends).all()):
         raise DomainError(f"screen interval [{x_min!r}, {x_max!r}] overflows the sample spacing or the phases")
     positions = np.linspace(x_min, x_max, int(samples))

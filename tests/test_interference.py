@@ -132,6 +132,13 @@ class TestPhasesFromGeometry:
         with pytest.raises(DomainError):
             phases_from_geometry(TWO_SLIT, np.nan)
 
+    @pytest.mark.parametrize("screen_x", [1e308, -1e308])
+    def test_overflowing_phases_rejected_without_warning(self, screen_x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite"):
+                phases_from_geometry(DetectionGeometry([0.0, 1e-5], 1.0, 5e-7), screen_x)
+
 
 class TestPattern:
     def test_diagonal_state_is_flat(self):

@@ -74,14 +74,15 @@ def test_readouts_match_per_pair_loops(n, monkeypatch):
         assert abs(result.sum_g - sum_g) <= tol
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_long_pattern_matches_per_pair_loop(n):
-    # 70001 samples span several kernel blocks at every pair count.
+# 70001 samples span several kernel blocks at every pair count; 274 samples
+# at N = 16 and 67 at N = 32 end in a one-row block (blocks of 273 and 66 rows).
+@pytest.mark.parametrize("n, samples", [(2, 70001), (4, 70001), (16, 274), (32, 67)])
+def test_long_pattern_matches_per_pair_loop(n, samples):
     rng = np.random.default_rng(77 + n)
     rho = random_density(rng, n)
     geometry = _geometry(rng, n)
-    got = pattern(rho, geometry, -0.05, 0.05, 70001).intensities
-    assert np.array_equal(got, ref.pattern_values(rho.entries, geometry, -0.05, 0.05, 70001))
+    got = pattern(rho, geometry, -0.05, 0.05, samples).intensities
+    assert np.array_equal(got, ref.pattern_values(rho.entries, geometry, -0.05, 0.05, samples))
 
 
 def test_table_is_built_once_and_read_only():
