@@ -46,7 +46,6 @@ from .density import (
     rho_indistinguishable,
 )
 from .interference import (
-    DEFAULT_GRID_POINTS,
     DEFAULT_SCAN_SEED,
     DEFAULT_STARTS,
     DetectionGeometry,
@@ -77,7 +76,6 @@ __all__ = [
     "Amplitudes",
     "CoherenceMatrix",
     "ConfigError",
-    "DEFAULT_GRID_POINTS",
     "DEFAULT_SCAN_SEED",
     "DEFAULT_STARTS",
     "DensityMatrix",

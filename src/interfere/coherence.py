@@ -25,18 +25,12 @@ import numpy as np
 from .core import (
     DensityMatrix,
     UndefinedPairError,
+    _check_index,
     _readonly,
     as_density,
     as_scale,
 )
 from .oracle import FockSpace, annihilation, creation, embed, trace_correlation
-
-
-def _check_index(rho: DensityMatrix, *indices: int) -> None:
-    n = int(rho.n)
-    for idx in indices:
-        if not 0 <= idx < n:
-            raise IndexError(f"source index {idx} out of range for {n} sources")
 
 
 def _population(rho: DensityMatrix, idx: int) -> float:
@@ -55,7 +49,7 @@ def big_g1(rho, i: int, j: int, k=None) -> complex:
     only through its modulus.
     """
     rho = as_density(rho)
-    _check_index(rho, i, j)
+    i, j = (_check_index(idx, rho.n, "source") for idx in (i, j))
     return complex(as_scale(k).intensity_scale * rho.entries[j, i])
 
 
@@ -66,7 +60,7 @@ def g1(rho, i: int, j: int) -> complex:
     :class:`UndefinedPairError` when either source never fires.
     """
     rho = as_density(rho)
-    _check_index(rho, i, j)
+    i, j = (_check_index(idx, rho.n, "source") for idx in (i, j))
     denom = np.sqrt(_population(rho, i) * _population(rho, j))
     return complex(rho.entries[j, i] / denom)
 
@@ -103,7 +97,7 @@ def _normal_ordered(rho, modes) -> complex:
     in the truncated space, over the square root of the product of the
     populations of ``modes``."""
     rho = as_density(rho)
-    _check_index(rho, *modes)
+    modes = [_check_index(m, rho.n, "source") for m in modes]
     denom = np.sqrt(math.prod(_population(rho, m) for m in modes))
     space = FockSpace(rho.n)
     ladder = [creation(space, m) for m in modes] + [annihilation(space, m) for m in reversed(modes)]

@@ -5,7 +5,9 @@ vector plus ``p_id`` (a family state built by :func:`interfere.density.mix`)
 or an explicit density matrix.  Complex numbers are two-element
 ``[re, im]`` arrays throughout; there is no other encoding.  Optional
 sections add a detection geometry, phase-scan settings, and a tolerance
-override.
+override.  The scan section is kept as written: ``starts`` and ``seed``
+become :class:`~interfere.interference.ScanSettings`, while ``grid_points``
+steers nothing and is only accepted and validated so older configs parse.
 
 Parsing is strict: unknown keys, wrong shapes, out-of-range values, and
 non-finite numbers are all rejected with :class:`ConfigError`.  A config
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Amplitudes, EmissionModel, InterfereError, as_density
+from .core import Amplitudes, EmissionModel, InterfereError, _check_integer, as_density
 from .density import mix
 from .interference import DetectionGeometry, ScanSettings
 
@@ -71,16 +73,15 @@ class ExperimentConfig:
 
     ``amplitudes``/``rho`` keep the values exactly as written (no
     renormalization) so the file round-trips; :meth:`density` applies the
-    exact rescaling when the state is actually built.
+    exact rescaling when the state is actually built.  ``scan`` is the
+    validated scan section as written, ``{}`` when absent.
     """
 
     amplitudes: np.ndarray | None
     p_id: float | None
     rho: np.ndarray | None
     geometry: DetectionGeometry | None
-    scan_grid_points: int | None
-    scan_starts: int | None
-    scan_seed: int | None
+    scan: dict
     tolerance: float | None
 
     @classmethod
@@ -108,7 +109,7 @@ class ExperimentConfig:
                 raise ConfigError(f"p_id must lie in [0, 1], got {p_id!r}")
 
         geometry = cls._parse_geometry(doc.get("geometry"), n)
-        grid_points, starts, seed = cls._parse_scan(doc.get("scan"))
+        scan = cls._parse_scan(doc.get("scan"))
 
         tolerance = None
         if "tolerance" in doc:
@@ -116,7 +117,7 @@ class ExperimentConfig:
             if tolerance <= 0.0:
                 raise ConfigError(f"tolerance must be positive, got {tolerance!r}")
 
-        return cls(amplitudes, p_id, rho, geometry, grid_points, starts, seed, tolerance)
+        return cls(amplitudes, p_id, rho, geometry, scan, tolerance)
 
     @classmethod
     def from_path(cls, path) -> "ExperimentConfig":
@@ -185,17 +186,19 @@ class ExperimentConfig:
             raise ConfigError(f"bad geometry: {exc}") from exc
 
     @staticmethod
-    def _parse_scan(raw):
+    def _parse_scan(raw) -> dict:
         if raw is None:
-            return None, None, None
+            return {}
         if not isinstance(raw, dict):
             raise ConfigError("scan must be an object")
         _require_keys(raw, _SCAN_KEYS, "scan")
         try:
-            ScanSettings(**raw)
+            if "grid_points" in raw:
+                _check_integer("grid_points", raw["grid_points"], 2)
+            ScanSettings(**{key: value for key, value in raw.items() if key != "grid_points"})
         except InterfereError as exc:
             raise ConfigError(f"bad scan: {exc}") from exc
-        return raw.get("grid_points"), raw.get("starts"), raw.get("seed")
+        return {key: int(value) for key, value in raw.items()}
 
     @property
     def n(self) -> int:
@@ -221,12 +224,10 @@ class ExperimentConfig:
 
     def scan_settings(self, override_seed=None, env_seed=None) -> ScanSettings:
         """Resolve scan settings: flag beats config beats environment beats ScanSettings' default."""
-        seed = env_seed
-        if self.scan_seed is not None:
-            seed = self.scan_seed
+        seed = self.scan.get("seed", env_seed)
         if override_seed is not None:
             seed = override_seed
-        given = {"grid_points": self.scan_grid_points, "starts": self.scan_starts, "seed": seed}
+        given = {"starts": self.scan.get("starts"), "seed": seed}
         try:
             return ScanSettings(**{name: value for name, value in given.items() if value is not None})
         except InterfereError as exc:
@@ -246,15 +247,8 @@ class ExperimentConfig:
                 "screen_distance": self.geometry.screen_distance,
                 "wavelength": self.geometry.wavelength,
             }
-        scan = {}
-        if self.scan_grid_points is not None:
-            scan["grid_points"] = self.scan_grid_points
-        if self.scan_starts is not None:
-            scan["starts"] = self.scan_starts
-        if self.scan_seed is not None:
-            scan["seed"] = self.scan_seed
-        if scan:
-            doc["scan"] = scan
+        if self.scan:
+            doc["scan"] = dict(self.scan)
         if self.tolerance is not None:
             doc["tolerance"] = self.tolerance
         return doc

@@ -58,6 +58,28 @@ class DomainError(InterfereError, ValueError):
     """A scalar argument lies outside its physical domain."""
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integer(name: str, value, least: int) -> int:
+    """``value`` as an int; ``DomainError`` unless it is an integer of at least ``least``."""
+    if not _is_integer(value):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
+def _check_index(index, count, what: str) -> int:
+    """``index`` as an int; ``IndexError`` unless it is an integer in ``[0, count)``."""
+    count = int(count)
+    if not (_is_integer(index) and 0 <= index < count):
+        raise IndexError(f"{what} index must be an integer in [0, {count}), got {index!r}")
+    return int(index)
+
+
 def _readonly(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)

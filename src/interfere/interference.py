@@ -41,6 +41,7 @@ from .core import (
     DomainError,
     PairTable,
     PhaseConfig,
+    _check_integer,
     _readonly,
     as_density,
     as_phases,
@@ -48,12 +49,13 @@ from .core import (
 )
 from .density import estimate_pid
 
-DEFAULT_GRID_POINTS = 256
 DEFAULT_STARTS = 64
 DEFAULT_SCAN_SEED = 1905
 
 # Refinement sweeps stop when one full pass over the free phases improves
-# the objective by no more than this; well inside the 1e-6 scan contract.
+# the objective by no more than this.  That bounds one sweep's gain, not the
+# distance to the extremum: a slow descent can stop further short (1.1e-6
+# at a family minimum on the polygon boundary, pinned as a strict xfail).
 _REFINE_STOP = 1e-12
 _MAX_SWEEPS = 500
 
@@ -79,25 +81,18 @@ class ScanSettings:
     starts from the zero vector, the phases of the top and the bottom
     eigenvector of the state, and ``starts`` seeded random vectors; one
     coordinate descent refines every start at once.  The same seed always
-    reproduces the same result.  ``grid_points`` is kept for the config
-    schema and still validated, but it no longer steers the search.  Every
-    field must be an integer; the seed must not be negative, as
-    ``numpy.random.default_rng`` requires.  :func:`visibility` rejects
-    ``(starts + 3) * N`` above ``MAX_PATTERN_VALUES`` before any work.
+    reproduces the same result.  Both fields must be integers; the seed
+    must not be negative, as ``numpy.random.default_rng`` requires.
+    :func:`visibility` rejects ``(starts + 3) * N`` above
+    ``MAX_PATTERN_VALUES`` before any work.
     """
 
-    grid_points: int = DEFAULT_GRID_POINTS
     starts: int = DEFAULT_STARTS
     seed: int = DEFAULT_SCAN_SEED
 
     def __post_init__(self) -> None:
-        for name, least in (("grid_points", 2), ("starts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise DomainError(f"{name} must be at least {least}, got {value}")
-            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "starts", _check_integer("starts", self.starts, 1))
+        object.__setattr__(self, "seed", _check_integer("seed", self.seed, 0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,6 +28,7 @@ from .core import (
     DimensionError,
     ModeCount,
     PhaseConfig,
+    _check_index,
     _readonly,
     as_density,
     as_phases,
@@ -64,15 +65,9 @@ class ModeOperator:
         return ModeOperator(self.matrix.conj().T, self.mode, other, self.space)
 
 
-def _check_mode(space: FockSpace, mode: int) -> int:
-    if not 0 <= mode < int(space.n_modes):
-        raise IndexError(f"mode index {mode} out of range for {int(space.n_modes)} modes")
-    return int(mode)
-
-
 def annihilation(space: FockSpace, mode: int) -> ModeOperator:
     """``a_mode``: sends ``||mode>`` to the vacuum, kills everything else."""
-    mode = _check_mode(space, mode)
+    mode = _check_index(mode, space.n_modes, "mode")
     mat = np.zeros((space.dimension, space.dimension), dtype=complex)
     mat[0, mode + 1] = 1.0
     return ModeOperator(_readonly(mat, complex), mode, "annihilation", space)

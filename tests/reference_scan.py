@@ -2,7 +2,9 @@
 
 This is the scan the library's single-pass engine replaces: each extremum
 walks the N <= 4 grid on its own, and every start is refined alone, with
-the field sum of each coordinate update built term by term in Python.
+the field sum of each coordinate update built term by term in Python.  The
+grid size is ``scan_extrema``'s own argument, ``GRID_POINTS`` per phase
+unless given; the library's ``ScanSettings`` no longer carries one.
 ``tests/test_scan_engine.py`` requires the library's ``(i_max, i_min)`` to
 be no worse than ``scan_extrema`` here, up to 1e-12.  Both read the
 library's intensity kernel, which is held to its own per-pair reference in
@@ -12,6 +14,9 @@ library's intensity kernel, which is held to its own per-pair reference in
 import numpy as np
 
 from interfere.interference import _MAX_SWEEPS, _REFINE_STOP, _intensity_given_phases
+
+# The grid size the library used before the grid left its scan.
+GRID_POINTS = 256
 
 
 def _descend(entries, base, pairs, phi, sense):
@@ -72,7 +77,7 @@ def _grid_extremum(base, pairs, n, grid_points, sense):
     return best_value * sense, best_phi
 
 
-def scan_extrema(rho, settings):
+def scan_extrema(rho, settings, grid_points=GRID_POINTS):
     """Extremize the intensity over realizable phases (first phase gauged to 0)."""
     entries = rho.entries
     n = entries.shape[0]
@@ -83,7 +88,7 @@ def scan_extrema(rho, settings):
     extrema = []
     for sense in (+1.0, -1.0):
         if n <= 4:
-            _, phi = _grid_extremum(base, pairs, n, settings.grid_points, sense)
+            _, phi = _grid_extremum(base, pairs, n, grid_points, sense)
             value, _ = _descend(entries, base, pairs, phi, sense)
         else:
             rng = np.random.default_rng(settings.seed)

@@ -157,7 +157,7 @@ def test_criterion_4_three_source_benchmark(capsys):
 
 def test_criterion_5_bound_chain(capsys):
     rng = np.random.default_rng(SUITE1_SEED)
-    cheap = ScanSettings(grid_points=2, starts=1)
+    cheap = ScanSettings(starts=1)
     worst_first = worst_second = -np.inf
     for n, model in _suite1_models(rng):
         result = visibility(mix(model), scan=cheap)

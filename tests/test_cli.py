@@ -360,6 +360,14 @@ def test_scan_grid_points_still_validated(tmp_path, grid_points, code):
         assert proc.stderr.startswith("error: bad scan: grid_points must be at least 2")
 
 
+def test_scan_grid_points_do_not_steer_visibility(tmp_path):
+    doc = {"amplitudes": EQUAL_THREE, "p_id": 0.6}
+    plain = run("visibility", "--config", config_file(tmp_path, doc, "plain.json"))
+    gridded = run("visibility", "--config", config_file(tmp_path, {**doc, "scan": {"grid_points": 3}}, "grid.json"))
+    assert plain.returncode == gridded.returncode == 0
+    assert gridded.stdout == plain.stdout
+
+
 @pytest.mark.parametrize("command", ["coherence", "pattern", "visibility"])
 def test_tolerance_flag_only_where_a_verdict_reads_it(tmp_path, command):
     doc = {"amplitudes": EQUAL_TWO, "p_id": 0.7, "geometry": TWO_SLIT_GEOMETRY, "tolerance": 1e-9}

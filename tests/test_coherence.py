@@ -34,6 +34,20 @@ class TestBigG1:
         with pytest.raises(IndexError):
             big_g1(rho, 0, 2)
 
+    @pytest.mark.parametrize("readout", [big_g1, g1, g2])
+    @pytest.mark.parametrize("index", [1.7, True, np.float64(2.0), -1])
+    def test_index_not_an_in_range_integer(self, readout, index):
+        rho = mix(equal_model(3, 0.5))
+        with pytest.raises(IndexError):
+            readout(rho, index, 0)
+        with pytest.raises(IndexError):
+            readout(rho, 0, index)
+
+    def test_numpy_integer_indices_accepted(self):
+        rho = mix(equal_model(3, 0.5))
+        for readout in (big_g1, g1, g2):
+            assert readout(rho, np.int64(1), np.int32(2)) == readout(rho, 1, 2)
+
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(7)
         rho = random_density(rng, 4)

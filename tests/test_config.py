@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from interfere import (
-    DEFAULT_GRID_POINTS,
     DEFAULT_SCAN_SEED,
     DEFAULT_STARTS,
     ConfigError,
@@ -128,8 +127,8 @@ class TestGeometrySection:
 class TestScanSection:
     def test_partial_section_allowed(self):
         config = ExperimentConfig.from_dict({**FAMILY, "scan": {"seed": 7}})
-        assert config.scan_seed == 7
-        assert config.scan_grid_points is None
+        assert config.scan == {"seed": 7}
+        assert ExperimentConfig.from_dict(FAMILY).scan == {}
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -138,6 +137,26 @@ class TestScanSection:
             ExperimentConfig.from_dict({**FAMILY, "scan": {"starts": 0}})
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({**FAMILY, "scan": {"seed": 1.5}})
+
+    @pytest.mark.parametrize(
+        "grid_points, message",
+        [
+            (2.9, "grid_points must be an integer, got 2.9"),
+            (8.0, "grid_points must be an integer, got 8.0"),
+            (True, "grid_points must be an integer, got True"),
+            (1, "grid_points must be at least 2, got 1"),
+        ],
+    )
+    def test_grid_points_still_validated(self, grid_points, message):
+        # grid_points steers no scan, but old configs carry it.
+        with pytest.raises(ConfigError, match=f"^bad scan: {message}$"):
+            ExperimentConfig.from_dict({**FAMILY, "scan": {"grid_points": grid_points}})
+
+    def test_grid_points_accepts_numpy_integer(self):
+        config = ExperimentConfig.from_dict({**FAMILY, "scan": {"grid_points": np.int64(8), "starts": 3}})
+        assert config.scan == {"grid_points": 8, "starts": 3}
+        assert json.dumps(config.to_json_dict()["scan"]) == '{"grid_points": 8, "starts": 3}'
+        assert config.scan_settings() == ExperimentConfig.from_dict({**FAMILY, "scan": {"starts": 3}}).scan_settings()
 
     def test_resolution_order(self):
         bare = ExperimentConfig.from_dict(FAMILY)
@@ -149,8 +168,9 @@ class TestScanSection:
 
     def test_defaults_fill_gaps(self):
         settings = ExperimentConfig.from_dict(FAMILY).scan_settings()
-        assert settings.grid_points == DEFAULT_GRID_POINTS
         assert settings.starts == DEFAULT_STARTS
+        assert settings.seed == DEFAULT_SCAN_SEED
+        assert ExperimentConfig.from_dict({**FAMILY, "scan": {"seed": 7}}).scan_settings().starts == DEFAULT_STARTS
 
 
 class TestRoundTrip:
@@ -173,6 +193,7 @@ class TestRoundTrip:
         emitted = config.to_json_dict()
         again = ExperimentConfig.from_dict(json.loads(json.dumps(emitted)))
         assert again.to_json_dict() == emitted
+        assert emitted.get("scan") == doc.get("scan")
         if config.rho is None:
             assert np.array_equal(again.amplitudes, config.amplitudes)
         else:

@@ -270,7 +270,7 @@ class TestVisibility:
         for _ in range(10):
             n = int(rng.integers(2, 6))
             model = random_model(rng, n)
-            result = visibility(mix(model), scan=ScanSettings(grid_points=8, starts=2))
+            result = visibility(mix(model), scan=ScanSettings(starts=2))
             pairs = n * (n - 1) // 2
             assert result.formula_v <= result.sum_g + 1e-12
             assert result.sum_g <= pairs * model.p_id + 1e-12
@@ -359,9 +359,10 @@ class TestVisibility:
 
     def test_scan_settings_validated(self):
         with pytest.raises(DomainError):
-            ScanSettings(grid_points=1)
-        with pytest.raises(DomainError):
             ScanSettings(starts=0)
+        # The grid size left with the grid; only the config schema keeps it.
+        with pytest.raises(TypeError):
+            ScanSettings(grid_points=8)
 
     def test_scan_settings_reject_negative_seed(self):
         # numpy.random.default_rng rejects a negative seed deep inside the scan.
@@ -370,16 +371,16 @@ class TestVisibility:
         assert ScanSettings(seed=0).seed == 0
 
     @pytest.mark.parametrize(
-        "field", [{"grid_points": 2.9}, {"grid_points": 8.0}, {"starts": True}, {"seed": 1.5}, {"seed": "3"}]
+        "field", [{"starts": 2.9}, {"starts": 8.0}, {"starts": True}, {"seed": 1.5}, {"seed": "3"}]
     )
     def test_scan_settings_reject_non_integers(self, field):
         with pytest.raises(DomainError):
             ScanSettings(**field)
 
     def test_scan_settings_accept_numpy_integers(self):
-        settings = ScanSettings(grid_points=np.int64(8), starts=np.int32(3), seed=np.uint64(7))
-        assert (settings.grid_points, settings.starts, settings.seed) == (8, 3, 7)
-        assert all(type(value) is int for value in (settings.grid_points, settings.starts, settings.seed))
+        settings = ScanSettings(starts=np.int32(3), seed=np.uint64(7))
+        assert (settings.starts, settings.seed) == (3, 7)
+        assert all(type(value) is int for value in (settings.starts, settings.seed))
 
 
 class TestBornResidual:

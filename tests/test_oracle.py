@@ -78,6 +78,17 @@ class TestModeOperators:
         with pytest.raises(IndexError):
             annihilation(FockSpace(2), 2)
 
+    @pytest.mark.parametrize("build", [annihilation, creation])
+    @pytest.mark.parametrize("mode", [1.7, True, np.float64(2.0), -1])
+    def test_mode_not_an_in_range_integer(self, build, mode):
+        with pytest.raises(IndexError):
+            build(FockSpace(3), mode)
+
+    def test_numpy_integer_mode_accepted(self):
+        a = annihilation(FockSpace(3), np.int64(1))
+        assert type(a.mode) is int and a.mode == 1
+        np.testing.assert_array_equal(a.matrix, annihilation(FockSpace(3), 1).matrix)
+
 
 class TestEmbed:
     def test_diagonal(self):
