@@ -15,6 +15,7 @@ import pytest
 
 import reference_scan as ref
 from interfere import Amplitudes, DensityMatrix, EmissionModel, ScanSettings, mix
+from interfere.config import ExperimentConfig
 from interfere.interference import _descend, _scan_extrema
 
 from helpers import equal_model, random_density, random_family_state
@@ -77,6 +78,20 @@ def test_scan_no_worse_than_reference_grid_points(n, grid_points):
         base = float(rho.populations.sum())
         grid = [ref._grid_extremum(base, rho.pairs, n, grid_points, sense)[0] for sense in (1.0, -1.0)]
         _assert_no_worse(got, grid)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grid_points_do_not_steer_the_scan(n):
+    # Old configs still carry scan.grid_points; whatever it says, the scan
+    # settings they resolve to, which alone steer the scan, stay the same.
+    amplitudes = [[float(n) ** -0.5, 0.0]] * n
+    settings = {
+        ExperimentConfig.from_dict(
+            {"amplitudes": amplitudes, "p_id": 0.5, "scan": {"grid_points": g, "starts": 3, "seed": 4300 + n}}
+        ).scan_settings()
+        for g in (2, 3, 4096)
+    }
+    assert settings == {ScanSettings(starts=3, seed=4300 + n)}, settings
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
