@@ -21,6 +21,15 @@ of the top and bottom eigenvectors, the zero vector and seeded random
 starts.  They agree for two sources and genuinely part ways beyond that;
 neither is silently preferred.
 
+Each scanned extremum comes with a proof of how far it can be from the
+true one: the weak-duality bound of the SDP relaxation (So, Zhang & Ye,
+Math. Program. 2007) at the multipliers of its best row, sharpened by a
+Newton polish on the torus.  ``i_max_upper`` and ``i_min_lower`` bound the
+true extrema, and an extremum is certified when its interval is at most
+1e-12 wide; the descent for it stops there.  For three sources the
+relaxation is exact (Huang & Zhang, Math. Oper. Res. 2007); beyond that it
+can leave a gap of its own, which the flag then shows.
+
 Complex off-diagonals
 ---------------------
 The pair term is written ``2 |rho_ij| cos(phi_i - phi_j + arg rho_ij)``
@@ -52,12 +61,17 @@ from .density import estimate_pid
 DEFAULT_STARTS = 64
 DEFAULT_SCAN_SEED = 1905
 
-# Refinement sweeps stop when one full pass over the free phases improves
-# the objective by no more than this.  That bounds one sweep's gain, not the
-# distance to the extremum: a slow descent can stop further short (1.1e-6
-# at a family minimum on the polygon boundary, pinned as a strict xfail).
+# A descent row stops when one full pass over the free phases improves the
+# objective by no more than _REFINE_STOP, or after _MAX_SWEEPS.  That bounds
+# one sweep's gain, not the distance to the extremum.  The distance is a
+# duality bound, taken by the scan at sweeps 1, 2, 4, ... and at the end on
+# each extremum's best stopped row; an extremum is certified when the bound
+# is within _CERTIFIED_GAP of the value, and its other rows then stop.
 _REFINE_STOP = 1e-12
 _MAX_SWEEPS = 500
+_CERTIFIED_GAP = 1e-12
+# Newton steps one polish may take; a degenerate extremum converges linearly.
+_POLISH_STEPS = 30
 
 # Pair terms per block of phase rows in the intensity kernel: O(M) memory.
 _KERNEL_BLOCK = 1 << 15
@@ -163,7 +177,9 @@ class VisibilityResult:
     ``scan_v = (i_max - i_min) / (i_max + i_min)`` from the phase scan;
     ``sum_g`` is the sum of ``|g1|`` over defined pairs; ``bound`` is
     C(N, 2) times the consensus coherent weight, absent when the state has
-    no consistent one.
+    no consistent one.  The true extrema over all phases lie in
+    ``[i_min_lower, i_min]`` and ``[i_max, i_max_upper]``; a flag is true
+    when its interval is at most 1e-12 wide, which proves that extremum.
     """
 
     formula_v: float
@@ -172,6 +188,10 @@ class VisibilityResult:
     i_min: float
     sum_g: float
     bound: float | None
+    i_max_upper: float
+    i_min_lower: float
+    max_certified: bool
+    min_certified: bool
 
 
 def _intensity_given_phases(base: float, pairs: PairTable, phases) -> np.ndarray:
@@ -258,7 +278,7 @@ def pattern(rho, geometry: DetectionGeometry, x_min: float, x_max: float, sample
     return IntensityPattern(positions, values, geometry)
 
 
-def _descend(entries, base, pairs, starts, sense):
+def _descend(entries, base, pairs, starts, sense, settle=None):
     """Exact coordinate descent from every start at once; the values reached.
 
     ``starts`` holds one phase row per start (phi[0] stays 0) and ``sense``
@@ -270,13 +290,18 @@ def _descend(entries, base, pairs, starts, sense):
     where ``w == 0``, divided part by part so a subnormal ``|w|`` cannot
     overflow.  A row stops once a sweep raises its ``v^H rho v`` by no more
     than the stop threshold, or after ``_MAX_SWEEPS`` sweeps; its value is
-    the kernel's at ``phi = -arg v``.
+    the kernel's at ``phi = -arg v``.  Without ``settle`` every row runs to
+    that stop.  ``settle(fields, values, running)`` is called after sweeps
+    1, 2, 4, ... and once at the end, with every row's fields and
+    ``v^H rho v`` and a mask of the rows not yet stopped; it may replace the
+    field and value of a stopped row, and returns a mask of the rows that
+    may go on.
     """
     coef = 2.0 * (entries - np.diag(entries.diagonal()))
     fields = np.exp(-1j * starts).T.copy()
     values = (fields.conj() * (entries @ fields)).real.sum(0)
     rows, moving, sign = np.arange(fields.shape[1]), fields, sense
-    for _ in range(_MAX_SWEEPS):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         for m in range(1, len(coef)):
             w = coef[m] @ moving
             size = np.abs(w) * sign
@@ -285,32 +310,141 @@ def _descend(entries, base, pairs, starts, sense):
         current = (moving.conj() * (entries @ moving)).real.sum(0)
         going = sign * (current - values[rows]) > _REFINE_STOP
         values[rows] = current
+        if settle is not None and not sweep & (sweep - 1):
+            fields[:, rows] = moving
+            running = np.zeros(values.shape, bool)
+            running[rows[going]] = True
+            going &= settle(fields, values, running)[rows]
+            moving = fields.take(rows, 1)  # C order, as the sweeps expect
         if not going.all():
             fields[:, rows] = moving
             rows, moving, sign = rows[going], moving.compress(going, 1), sign[going]
             if not rows.size:
                 break
     fields[:, rows] = moving
+    if settle is not None:
+        settle(fields, values, np.zeros(values.shape, bool))
     return _intensity_given_phases(base, pairs, -np.angle(fields.T))
 
 
+def _dual_bound(entries, field, sense) -> float:
+    """A bound on ``sense * x^H rho x`` over every unit-modulus ``x``.
+
+    Weak duality for the SDP relaxation: for every real ``y`` and
+    ``M = sense * rho``, ``x^H M x = x^H (M - diag y) x + sum y``, which is at
+    most ``sum y + N lambda_max(M - diag y)``.  The multipliers
+    ``y_i = Re(conj(v_i) (M v)_i)`` of ``field`` make the bound meet the
+    value at an extremum the relaxation leaves exact.  The allowance,
+    ``N eps sum |y|`` plus ``N^2 eps`` times the spectral radius, covers
+    the rounding of the sum and of ``eigvalsh``.
+    """
+    m = sense * entries
+    y = (field.conj() * (m @ field)).real
+    spectrum = np.linalg.eigvalsh(m - np.diag(y))
+    n = len(y)
+    allowance = n * np.finfo(float).eps * (np.abs(y).sum() + n * np.abs(spectrum).max())
+    return float(y.sum() + n * max(spectrum[-1], 0.0) + allowance)
+
+
+def _polish(entries, field, sense, noise):
+    """Safeguarded Newton ascent of ``sense * v^H rho v`` on the torus.
+
+    Newton's method on a manifold (Absil, Mahony & Sepulchre, 2008, ch. 6).
+    With phi[0] fixed, the gradient is ``-2 Im(conj(v) (rho v))`` and the
+    Hessian ``2 Re(conj(v_k) rho_kl v_l)`` off the diagonal, with rows that
+    sum to zero, both times ``sense``.  A step is the minimum-norm Newton
+    step over the Hessian's eigen-directions of negative curvature, so a
+    manifold of extrema (closed polygons of a family state at N >= 4) is no
+    obstacle.  A step goes on while it raises the value, or keeps it within
+    ``noise`` and shrinks the gradient: near an extremum the value no longer
+    resolves the distance to it, but the duality bound does.  The polish
+    ends once the gradient is down to ``noise`` too.  Returns the field of
+    highest value, that value, and the last field, whose multipliers give
+    the bound.
+    """
+    m = sense * entries
+    free, flat = np.arange(len(field) - 1), np.sqrt(np.finfo(float).eps)
+    best, top = field, -np.inf
+    value, slope, trial = -np.inf, np.inf, field
+    for _ in range(_POLISH_STEPS):
+        products = trial.conj()[:, None] * m * trial
+        trial_value = products.real.sum()
+        gradient = -2.0 * products.imag[1:].sum(1)
+        trial_slope = np.abs(gradient).max()
+        if trial_value > top:
+            best, top = trial, trial_value
+        if not (trial_value > value or (trial_value >= value - noise and trial_slope < slope)):
+            break
+        field, value, slope = trial, trial_value, trial_slope
+        if slope <= noise:
+            break
+        hessian = 2.0 * products.real[1:, 1:]
+        hessian[free, free] -= 2.0 * products.real[1:].sum(1)
+        curvature, axes = np.linalg.eigh(hessian)
+        ascent = curvature < -flat * np.abs(curvature).max()
+        if not ascent.any():
+            break
+        curvature, axes = curvature[ascent], axes[:, ascent]
+        trial = field.copy()
+        trial[1:] *= np.exp(1j * (axes @ ((axes.T @ gradient) / curvature)))
+    return best, float(top), field
+
+
 def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
-    """Extremize the intensity over realizable phases (first phase gauged to 0)."""
+    """Extremize the intensity over realizable phases (first phase gauged to 0).
+
+    Returns ``(i_max, i_min, i_max_upper, i_min_lower)``: the extrema found
+    and duality bounds on the true ones.  Each ``settle`` bounds each
+    extremum's best stopped row by its own multipliers and, if that leaves a
+    gap above ``_CERTIFIED_GAP``, by those of its Newton polish; a polish
+    that raises the row by more than the gap takes the row's place.  Once
+    the row is proven, no other row can beat it by more than the gap, and
+    the extremum's rows stop, unless only the polish proves it and could
+    still raise it beyond rounding: the row then sits near a degenerate
+    extremum that rows still running approach, and they run on to their
+    own stops, so the answer keeps the full descent's bits.
+    """
     n = int(rho.n)
     base = float(rho.populations.sum())
     if n == 2:
         # One free phase sweeps the one pair term through its whole range.
         swing = 2.0 * float(rho.pairs.modulus[0])
-        return base + swing, base - swing
+        return base + swing, base - swing, base + swing, base - swing
     # The intensity is v^H rho v with v = exp(-i phi): the phases of the top
     # and bottom eigenvectors start next to the maximum and the minimum.
     vectors = np.linalg.eigh(rho.entries)[1][:, [-1, 0]].T
-    seeded = np.zeros((settings.starts + 3, n))
+    count = settings.starts + 3
+    seeded = np.zeros((count, n))
     seeded[1:3] = np.angle(vectors[:, :1]) - np.angle(vectors)
     seeded[3:, 1:] = np.random.default_rng(settings.seed).uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
-    sense = np.repeat([1.0, -1.0], settings.starts + 3)
-    values = _descend(rho.entries, base, rho.pairs, np.concatenate([seeded, seeded]), sense)
-    return float(values[sense > 0].max()), float(values[sense < 0].min())
+    sense = np.repeat([1.0, -1.0], count)
+    # Per extremum, in units of sense * intensity: the best row value
+    # examined so far, the least bound, the highest polished value, and
+    # whether the extremum's rows stop.
+    tried, bounds, polished, settled = [-np.inf] * 2, [np.inf] * 2, [-np.inf] * 2, [False] * 2
+    noise = n * np.finfo(float).eps * np.abs(rho.entries).sum()  # rounding of v^H rho v
+
+    def settle(fields, values, running):
+        going = np.ones(values.shape, bool)
+        for k, s in enumerate((1.0, -1.0)):
+            own = slice(k * count, (k + 1) * count)
+            best = k * count + int(np.argmax(s * values[own]))
+            if not running[best] and s * values[best] > tried[k]:
+                tried[k] = s * values[best]
+                if bounds[k] - tried[k] > _CERTIFIED_GAP:
+                    bounds[k] = min(bounds[k], _dual_bound(rho.entries, fields[:, best], s))
+                if bounds[k] - tried[k] > _CERTIFIED_GAP:
+                    field, value, refined = _polish(rho.entries, fields[:, best], s, noise)
+                    bounds[k] = min(bounds[k], _dual_bound(rho.entries, refined, s))
+                    polished[k] = max(polished[k], value)
+                    if value - tried[k] > _CERTIFIED_GAP:
+                        fields[:, best], values[best], tried[k] = field, s * value, value
+                settled[k] = bounds[k] - tried[k] <= _CERTIFIED_GAP and polished[k] - tried[k] <= noise
+            going[own] = not settled[k]
+        return going
+
+    values = _descend(rho.entries, base, rho.pairs, np.concatenate([seeded, seeded]), sense, settle)
+    return float(values[:count].max()), float(values[count:].min()), bounds[0], -bounds[1]
 
 
 def visibility(rho, scan: ScanSettings | None = None) -> VisibilityResult:
@@ -328,11 +462,14 @@ def visibility(rho, scan: ScanSettings | None = None) -> VisibilityResult:
     sum_g = np.nansum([pair.p_ij for pair in report.pairs])
     bound = math.comb(int(rho.n), 2) * report.consensus if report.consistent else None
 
-    i_max, i_min = _scan_extrema(rho, settings)
+    i_max, i_min, i_max_upper, i_min_lower = _scan_extrema(rho, settings)
     i_min = max(i_min, 0.0)
     total = i_max + i_min
     scan_v = (i_max - i_min) / total if total > 0 else 0.0
-    return VisibilityResult(float(formula_v), float(scan_v), float(i_max), float(i_min), float(sum_g), bound)
+    return VisibilityResult(
+        float(formula_v), float(scan_v), float(i_max), float(i_min), float(sum_g), bound, i_max_upper, i_min_lower,
+        i_max_upper - i_max <= _CERTIFIED_GAP, i_min - i_min_lower <= _CERTIFIED_GAP,
+    )
 
 
 def born_residual(rho, phases) -> float:

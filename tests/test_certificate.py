@@ -1,0 +1,101 @@
+"""Duality bounds on the scan's extrema, on the reference tests' own states.
+
+``visibility`` reports ``[i_min_lower, i_min]`` and ``[i_max, i_max_upper]``
+with the true extrema inside, and flags an extremum certified when its
+interval is at most 1e-12 wide.  The states below are the ones
+``tests/test_scan_engine.py`` builds, drawn from the same generators in the
+same order.
+"""
+
+import numpy as np
+import pytest
+
+import reference_scan as ref
+from interfere import Amplitudes, EmissionModel, ScanSettings, mix, visibility
+from interfere.interference import _dual_bound, _scan_extrema
+
+from helpers import equal_model
+from test_scan_engine import KINDS, SMALL_SETTINGS
+
+GAP = 1e-12
+
+
+def _reference_states(n):
+    """(rho, settings) for every state the scan-engine tests build at ``n``."""
+    cases = []
+    if n in (2, 3, 4):
+        rng = np.random.default_rng(4000 + n)
+        cases += [(kind(rng, n), ScanSettings()) for kind in KINDS]
+    if n in (2, 3, 5, 8):
+        rng = np.random.default_rng(4100 + n)
+        for kind in KINDS:
+            cases.append((kind(rng, n), ScanSettings()))
+            rng.uniform(0.0, 2.0 * np.pi, (4, n))
+            rng.integers(0, 4, (4, n))
+    if 2 <= n <= 8:
+        rng = np.random.default_rng(5000 + n)
+        cases += [(kind(rng, n), settings) for kind in KINDS for settings, _ in SMALL_SETTINGS]
+        cases.append((mix(equal_model(n, 1.0)), SMALL_SETTINGS[1][0]))
+    if n in (12, 16):
+        rng = np.random.default_rng(6000 + n)
+        for kind in KINDS:
+            rho = kind(rng, n)
+            cases.append((rho, ScanSettings(starts=1, seed=int(rng.integers(1 << 31)))))
+    if n in (2, 3, 4, 5, 8):
+        rng = np.random.default_rng(7000 + n)
+        cases += [(kind(rng, n), ScanSettings()) for kind in (KINDS[:1] if n == 4 else KINDS)]
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 16])
+def test_bounds_enclose_the_extrema(n):
+    for rho, settings in _reference_states(n):
+        i_max, i_min, i_max_upper, i_min_lower = _scan_extrema(rho, settings)
+        assert i_min_lower <= i_min and i_max <= i_max_upper, (i_min_lower, i_min, i_max, i_max_upper)
+        if n == 2:
+            assert (i_max_upper, i_min_lower) == (i_max, i_min)
+        if n <= 3:
+            # Complex SDPs with at most three constraints have rank-one optima.
+            assert i_max_upper - i_max <= GAP and i_min - i_min_lower <= GAP, (i_max_upper - i_max, i_min - i_min_lower)
+
+
+def test_visibility_reports_the_interval():
+    rho = mix(equal_model(3, 0.6))
+    result = visibility(rho, ScanSettings(starts=3, seed=11))
+    assert result.i_min_lower <= result.i_min <= result.i_max <= result.i_max_upper
+    assert result.max_certified and result.min_certified
+    assert result.i_max_upper - result.i_max <= GAP
+
+
+def _seed_109_state():
+    # The N = 4 family state that the benchmark draws second from seed 109.
+    moduli = np.array([0.31395713051232976, 0.6736447940160153, 0.4525750829632695, 0.8144796256589739])
+    phases = np.array([4.98869504151516, 0.8162794314673465, 0.6694498644053994, 5.44209761190119])
+    return EmissionModel(Amplitudes.normalized(moduli * np.exp(1j * phases)), 0.5321632597883821)
+
+
+def test_old_scan_miss_is_not_certified():
+    # The grid-and-descent reference stops 1.5e-9 above the closed-form dark
+    # point of this state; a bound at its phases must not certify that.
+    model = _seed_109_state()
+    rho = mix(model)
+    dark = 1.0 - model.p_id  # inside the polygon: the phasors close
+    base = float(rho.populations.sum())
+    _, phi = ref._grid_extremum(base, rho.pairs, 4, ref.GRID_POINTS, -1.0)
+    value, phi = ref._descend(rho.entries, base, rho.pairs, phi, -1.0)
+    assert value - dark > 1e-9
+    lower = -_dual_bound(rho.entries, np.exp(-1j * phi), -1.0)
+    assert lower <= dark and value - lower > GAP
+    result = visibility(rho)
+    assert result.min_certified and abs(result.i_min - dark) <= GAP
+
+
+def test_descent_short_of_polygon_boundary_is_not_certified():
+    # The dark point is exactly 1 - p; the descent from the zero start alone
+    # stops 5.2e-6 above it.  Its bound holds the truth and flags the miss.
+    moduli = np.array([0.511, 0.951, 0.507, 0.745, 0.96, 3.674])
+    phases = np.array([0.338, 3.907, 5.379, 0.33, 1.261, 2.577])
+    rho = mix(EmissionModel(Amplitudes.normalized(moduli * np.exp(1j * phases)), 0.42))
+    value, phi = ref._descend(rho.entries, float(rho.populations.sum()), rho.pairs, np.zeros(6), -1.0)
+    lower = -_dual_bound(rho.entries, np.exp(-1j * phi), -1.0)
+    assert lower <= 0.58 <= value and value - lower > GAP

@@ -319,9 +319,11 @@ class TestVisibility:
         for rho in states + [mix(equal_model(2, 1.0)), DensityMatrix(np.diag([0.25, 0.75]))]:
             base = float(rho.populations.sum())
             modulus = float(rho.pairs.modulus[0])
-            assert _scan_extrema(rho, ScanSettings()) == (base + 2.0 * modulus, base - 2.0 * modulus)
+            bright, dark = base + 2.0 * modulus, base - 2.0 * modulus
+            assert _scan_extrema(rho, ScanSettings()) == (bright, dark, bright, dark)
             result = visibility(rho)
-            assert (result.i_max, result.i_min) == (base + 2.0 * modulus, max(base - 2.0 * modulus, 0.0))
+            assert (result.i_max, result.i_min) == (bright, max(dark, 0.0))
+            assert (result.i_max_upper, result.i_min_lower) == (bright, dark)
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_subnormal_coherences_give_finite_extrema_without_warnings(self, n):

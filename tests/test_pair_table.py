@@ -41,7 +41,7 @@ def _geometry(rng, n):
 def test_readouts_match_per_pair_loops(n, monkeypatch):
     # Only the closed-form readouts of visibility are compared; a stub scan
     # keeps N = 32 fast.
-    monkeypatch.setattr(interference, "_scan_extrema", lambda rho, settings: (1.0, 0.0))
+    monkeypatch.setattr(interference, "_scan_extrema", lambda rho, settings: (1.0, 0.0, 1.0, 0.0))
     tol = 1e-14 * math.comb(n, 2)
     rng = np.random.default_rng(2008 + n)
     for _ in range(STATES_PER_N):
