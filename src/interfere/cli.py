@@ -40,7 +40,7 @@ import numpy as np
 
 from .coherence import coherence_matrix
 from .config import ConfigError, ExperimentConfig
-from .core import DomainError, InterfereError, validate_density
+from .core import DomainError, InterfereError, _check_integer, validate_density
 from .density import estimate_pid
 from .interference import born_residual, check_budget, pattern, visibility
 
@@ -184,8 +184,7 @@ def cmd_visibility(args) -> int:
 
 def cmd_born_check(args) -> int:
     config = ExperimentConfig.from_path(args.config)
-    if args.phase_samples < 1:
-        raise ConfigError(f"--phase-samples must be at least 1, got {args.phase_samples}")
+    _check_integer("--phase-samples", args.phase_samples, 1)
     check_budget(args.phase_samples, config.n, f"--phase-samples {args.phase_samples}")
     rho = config.density()
     settings = config.scan_settings(override_seed=args.seed, env_seed=_env_seed())

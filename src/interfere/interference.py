@@ -180,6 +180,8 @@ class VisibilityResult:
     no consistent one.  The true extrema over all phases lie in
     ``[i_min_lower, i_min]`` and ``[i_max, i_max_upper]``; a flag is true
     when its interval is at most 1e-12 wide, which proves that extremum.
+    The minimum and both ends of its interval are of the intensity clamped
+    at 0, which an accepted state may dip just below.
     """
 
     formula_v: float
@@ -260,71 +262,57 @@ def pattern(rho, geometry: DetectionGeometry, x_min: float, x_max: float, sample
     rho = as_density(rho)
     if geometry.n != int(rho.n):
         raise DimensionError(f"{geometry.n} source positions for {int(rho.n)} sources")
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise DomainError(f"samples must be an integer, got {samples!r}")
-    if samples < 2:
-        raise DomainError(f"need at least 2 samples, got {samples}")
-    check_budget(int(samples), geometry.n, f"{samples} samples")
+    samples = _check_integer("samples", samples, 2)
+    check_budget(samples, geometry.n, f"{samples} samples")
     if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
         raise DomainError(f"need x_min < x_max, got {x_min!r} and {x_max!r}")
     x_min, x_max = float(x_min), float(x_max)
     ends = _path_phases(geometry, np.array([x_min, x_max]))
     if not (math.isfinite(x_max - x_min) and np.isfinite(ends).all()):
         raise DomainError(f"screen interval [{x_min!r}, {x_max!r}] overflows the sample spacing or the phases")
-    positions = np.linspace(x_min, x_max, int(samples))
+    positions = np.linspace(x_min, x_max, samples)
     phase_table = _path_phases(geometry, positions)
     # The kernel transposes back, so the source rows it gathers are contiguous.
     values = _intensity_given_phases(float(rho.populations.sum()), rho.pairs, phase_table.T)
     return IntensityPattern(positions, values, geometry)
 
 
-def _descend(entries, base, pairs, starts, sense, settle=None):
-    """Exact coordinate descent from every start at once; the values reached.
+def _descend(entries, fields, values, sense, going, sweeps):
+    """Up to ``sweeps`` sweeps of exact coordinate descent on the rows ``going``.
 
-    ``starts`` holds one phase row per start (phi[0] stays 0) and ``sense``
-    is +1 for a row that maximizes, -1 for one that minimizes.  Each row
-    carries its unit fields ``v = exp(-i phi)``; the objective ``v^H rho v``
-    depends on one ``v_m`` only through ``Re(conj(v_m) w)`` with the field
-    sum ``w = sum_{j != m} 2 rho_mj v_j`` (one matrix-vector product for all
-    rows), so each update is the closed form ``v_m = sense * w / |w|``: kept
-    where ``w == 0``, divided part by part so a subnormal ``|w|`` cannot
-    overflow.  A row stops once a sweep raises its ``v^H rho v`` by no more
-    than the stop threshold, or after ``_MAX_SWEEPS`` sweeps; its value is
-    the kernel's at ``phi = -arg v``.  Without ``settle`` every row runs to
-    that stop.  ``settle(fields, values, running)`` is called after sweeps
-    1, 2, 4, ... and once at the end, with every row's fields and
-    ``v^H rho v`` and a mask of the rows not yet stopped; it may replace the
-    field and value of a stopped row, and returns a mask of the rows that
-    may go on.
+    ``fields`` holds one column of unit fields ``v = exp(-i phi)`` per row
+    (v[0] stays 1) and ``values`` each row's ``v^H rho v``, both updated in
+    place; ``sense`` is +1 for a row that maximizes, -1 for one that
+    minimizes.  The objective depends on one ``v_m`` only through
+    ``Re(conj(v_m) w)`` with the field sum ``w = sum_{j != m} 2 rho_mj v_j``
+    (one matrix-vector product for all rows), so each update is the closed
+    form ``v_m = sense * w / |w|``: kept where ``w == 0``, divided part by
+    part so a subnormal ``|w|`` cannot overflow.  A row stops once a sweep
+    raises its value by no more than ``_REFINE_STOP``; returns the mask of
+    rows still going.  :func:`_scan_extrema` holds the sweep schedule and
+    the ``_MAX_SWEEPS`` cap, and reads the intensity at ``phi = -arg v``.
     """
     coef = 2.0 * (entries - np.diag(entries.diagonal()))
-    fields = np.exp(-1j * starts).T.copy()
-    values = (fields.conj() * (entries @ fields)).real.sum(0)
-    rows, moving, sign = np.arange(fields.shape[1]), fields, sense
-    for sweep in range(1, _MAX_SWEEPS + 1):
+    rows = np.flatnonzero(going)
+    moving, sign = fields.take(rows, 1), sense[rows]
+    for _ in range(sweeps):
         for m in range(1, len(coef)):
             w = coef[m] @ moving
             size = np.abs(w) * sign
             np.divide(w.real, size, out=moving.real[m], where=(live := size != 0.0))
             np.divide(w.imag, size, out=moving.imag[m], where=live)
         current = (moving.conj() * (entries @ moving)).real.sum(0)
-        going = sign * (current - values[rows]) > _REFINE_STOP
+        still = sign * (current - values[rows]) > _REFINE_STOP
         values[rows] = current
-        if settle is not None and not sweep & (sweep - 1):
+        if not still.all():
             fields[:, rows] = moving
-            running = np.zeros(values.shape, bool)
-            running[rows[going]] = True
-            going &= settle(fields, values, running)[rows]
-            moving = fields.take(rows, 1)  # C order, as the sweeps expect
-        if not going.all():
-            fields[:, rows] = moving
-            rows, moving, sign = rows[going], moving.compress(going, 1), sign[going]
+            rows, moving, sign = rows[still], moving.compress(still, 1), sign[still]
             if not rows.size:
                 break
     fields[:, rows] = moving
-    if settle is not None:
-        settle(fields, values, np.zeros(values.shape, bool))
-    return _intensity_given_phases(base, pairs, -np.angle(fields.T))
+    going = np.zeros_like(going)
+    going[rows] = True
+    return going
 
 
 def _dual_bound(entries, field, sense) -> float:
@@ -394,15 +382,18 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     """Extremize the intensity over realizable phases (first phase gauged to 0).
 
     Returns ``(i_max, i_min, i_max_upper, i_min_lower)``: the extrema found
-    and duality bounds on the true ones.  Each ``settle`` bounds each
-    extremum's best stopped row by its own multipliers and, if that leaves a
-    gap above ``_CERTIFIED_GAP``, by those of its Newton polish; a polish
-    that raises the row by more than the gap takes the row's place.  Once
-    the row is proven, no other row can beat it by more than the gap, and
-    the extremum's rows stop, unless only the polish proves it and could
-    still raise it beyond rounding: the row then sits near a degenerate
-    extremum that rows still running approach, and they run on to their
-    own stops, so the answer keeps the full descent's bits.
+    and duality bounds on the true ones.  One loop runs the descent in
+    stages up to sweeps 1, 2, 4, ... and ``_MAX_SWEEPS``, after which every
+    row counts as stopped.  After each stage, it bounds each extremum's best
+    stopped row by its own multipliers and, if that leaves a gap above
+    ``_CERTIFIED_GAP``, by those of its Newton polish; a polish that raises
+    the row by more than the gap takes the row's place.  Once the row is
+    proven, no other row can beat it by more than the gap, and the
+    extremum's rows stop, unless only the polish proves it and could still
+    raise it beyond rounding: the row then sits near a degenerate extremum
+    that rows still running approach, and they run on to their own stops,
+    so the answer keeps the full descent's bits.  Each row's value is the
+    kernel's at ``phi = -arg v``.
     """
     n = int(rho.n)
     base = float(rho.populations.sum())
@@ -418,33 +409,38 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     seeded[1:3] = np.angle(vectors[:, :1]) - np.angle(vectors)
     seeded[3:, 1:] = np.random.default_rng(settings.seed).uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
     sense = np.repeat([1.0, -1.0], count)
+    fields = np.exp(-1j * np.concatenate([seeded, seeded])).T.copy()
+    values = (fields.conj() * (rho.entries @ fields)).real.sum(0)
     # Per extremum, in units of sense * intensity: the best row value
-    # examined so far, the least bound, the highest polished value, and
-    # whether the extremum's rows stop.
-    tried, bounds, polished, settled = [-np.inf] * 2, [np.inf] * 2, [-np.inf] * 2, [False] * 2
+    # examined so far, the least bound and the highest polished value.
+    tried, bounds, polished = [-np.inf] * 2, [np.inf] * 2, [-np.inf] * 2
     noise = n * np.finfo(float).eps * np.abs(rho.entries).sum()  # rounding of v^H rho v
-
-    def settle(fields, values, running):
-        going = np.ones(values.shape, bool)
+    swept, going = 0, np.ones(values.shape, bool)
+    while going.any():
+        # Stages of 1, 1, 2, 4, ... sweeps end at sweeps 1, 2, 4, ..., then at the cap.
+        stage = min(max(swept, 1), _MAX_SWEEPS - swept)
+        going = _descend(rho.entries, fields, values, sense, going, stage)
+        swept += stage
+        if swept == _MAX_SWEEPS:
+            going[:] = False
         for k, s in enumerate((1.0, -1.0)):
             own = slice(k * count, (k + 1) * count)
             best = k * count + int(np.argmax(s * values[own]))
-            if not running[best] and s * values[best] > tried[k]:
-                tried[k] = s * values[best]
-                if bounds[k] - tried[k] > _CERTIFIED_GAP:
-                    bounds[k] = min(bounds[k], _dual_bound(rho.entries, fields[:, best], s))
-                if bounds[k] - tried[k] > _CERTIFIED_GAP:
-                    field, value, refined = _polish(rho.entries, fields[:, best], s, noise)
-                    bounds[k] = min(bounds[k], _dual_bound(rho.entries, refined, s))
-                    polished[k] = max(polished[k], value)
-                    if value - tried[k] > _CERTIFIED_GAP:
-                        fields[:, best], values[best], tried[k] = field, s * value, value
-                settled[k] = bounds[k] - tried[k] <= _CERTIFIED_GAP and polished[k] - tried[k] <= noise
-            going[own] = not settled[k]
-        return going
-
-    values = _descend(rho.entries, base, rho.pairs, np.concatenate([seeded, seeded]), sense, settle)
-    return float(values[:count].max()), float(values[count:].min()), bounds[0], -bounds[1]
+            if going[best] or s * values[best] <= tried[k]:
+                continue
+            tried[k] = s * values[best]
+            if bounds[k] - tried[k] > _CERTIFIED_GAP:
+                bounds[k] = min(bounds[k], _dual_bound(rho.entries, fields[:, best], s))
+            if bounds[k] - tried[k] > _CERTIFIED_GAP:
+                field, value, refined = _polish(rho.entries, fields[:, best], s, noise)
+                bounds[k] = min(bounds[k], _dual_bound(rho.entries, refined, s))
+                polished[k] = max(polished[k], value)
+                if value - tried[k] > _CERTIFIED_GAP:
+                    fields[:, best], values[best], tried[k] = field, s * value, value
+            if bounds[k] - tried[k] <= _CERTIFIED_GAP and polished[k] - tried[k] <= noise:
+                going[own] = False
+    reached = _intensity_given_phases(base, rho.pairs, -np.angle(fields.T))
+    return float(reached[:count].max()), float(reached[count:].min()), bounds[0], -bounds[1]
 
 
 def visibility(rho, scan: ScanSettings | None = None) -> VisibilityResult:
@@ -463,7 +459,7 @@ def visibility(rho, scan: ScanSettings | None = None) -> VisibilityResult:
     bound = math.comb(int(rho.n), 2) * report.consensus if report.consistent else None
 
     i_max, i_min, i_max_upper, i_min_lower = _scan_extrema(rho, settings)
-    i_min = max(i_min, 0.0)
+    i_min, i_min_lower = max(i_min, 0.0), max(i_min_lower, 0.0)
     total = i_max + i_min
     scan_v = (i_max - i_min) / total if total > 0 else 0.0
     return VisibilityResult(

@@ -3,8 +3,7 @@
 ``visibility`` reports ``[i_min_lower, i_min]`` and ``[i_max, i_max_upper]``
 with the true extrema inside, and flags an extremum certified when its
 interval is at most 1e-12 wide.  The states below are the ones
-``tests/test_scan_engine.py`` builds, drawn from the same generators in the
-same order.
+``tests/test_scan_engine.py`` builds, taken from its own builders.
 """
 
 import numpy as np
@@ -14,8 +13,8 @@ import reference_scan as ref
 from interfere import Amplitudes, EmissionModel, ScanSettings, mix, visibility
 from interfere.interference import _dual_bound, _scan_extrema
 
+import test_scan_engine as tse
 from helpers import equal_model
-from test_scan_engine import KINDS, SMALL_SETTINGS
 
 GAP = 1e-12
 
@@ -23,31 +22,20 @@ GAP = 1e-12
 def _reference_states(n):
     """(rho, settings) for every state the scan-engine tests build at ``n``."""
     cases = []
-    if n in (2, 3, 4):
-        rng = np.random.default_rng(4000 + n)
-        cases += [(kind(rng, n), ScanSettings()) for kind in KINDS]
-    if n in (2, 3, 5, 8):
-        rng = np.random.default_rng(4100 + n)
-        for kind in KINDS:
-            cases.append((kind(rng, n), ScanSettings()))
-            rng.uniform(0.0, 2.0 * np.pi, (4, n))
-            rng.integers(0, 4, (4, n))
-    if 2 <= n <= 8:
-        rng = np.random.default_rng(5000 + n)
-        cases += [(kind(rng, n), settings) for kind in KINDS for settings, _ in SMALL_SETTINGS]
-        cases.append((mix(equal_model(n, 1.0)), SMALL_SETTINGS[1][0]))
-    if n in (12, 16):
-        rng = np.random.default_rng(6000 + n)
-        for kind in KINDS:
-            rho = kind(rng, n)
-            cases.append((rho, ScanSettings(starts=1, seed=int(rng.integers(1 << 31)))))
-    if n in (2, 3, 4, 5, 8):
-        rng = np.random.default_rng(7000 + n)
-        cases += [(kind(rng, n), ScanSettings()) for kind in (KINDS[:1] if n == 4 else KINDS)]
+    if n in tse.GRID_N:
+        cases += [(rho, ScanSettings()) for rho in tse.grid_states(n)]
+    if n in tse.PER_START_N:
+        cases += [(rho, ScanSettings()) for rho, _ in tse.per_start_cases(n)]
+    if n in tse.SMALL_N:
+        cases += [(rho, settings) for rho, settings, _ in tse.small_settings_cases(n)]
+    if n in tse.MANY_N:
+        cases += tse.many_sources_cases(n)
+    if n in tse.DEFAULT_N:
+        cases += [(rho, ScanSettings()) for rho in tse.default_settings_states(n)]
     return cases
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 12, 16])
+@pytest.mark.parametrize("n", sorted({*tse.GRID_N, *tse.PER_START_N, *tse.SMALL_N, *tse.MANY_N, *tse.DEFAULT_N}))
 def test_bounds_enclose_the_extrema(n):
     for rho, settings in _reference_states(n):
         i_max, i_min, i_max_upper, i_min_lower = _scan_extrema(rho, settings)

@@ -276,6 +276,7 @@ class TestUsage:
         ("validate", "--tolerance", "-1"),
         ("pid", "--tolerance", "0"),
         ("pattern", "--x-min", "1e300", "--x-max", "1e308", "--samples", "3"),
+        ("born-check", "--phase-samples", "0"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(tmp_path, args):

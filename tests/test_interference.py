@@ -306,7 +306,9 @@ class TestVisibility:
             assert lowest <= min(samples) + 1e-12
             assert result.i_min <= max(min(samples), 0.0) + 1e-12
             if entries is shifted_pure:
+                # The raw minimum is proven below 0; its clamped interval stays proven.
                 assert lowest < 0.0
+                assert result.i_min_lower == result.i_min == 0.0 and result.min_certified
 
     def test_two_sources_in_closed_form(self, monkeypatch):
         def reached(*args, **kwargs):

@@ -16,7 +16,7 @@ import pytest
 import reference_scan as ref
 from interfere import Amplitudes, DensityMatrix, EmissionModel, ScanSettings, mix
 from interfere.config import ExperimentConfig
-from interfere.interference import _descend, _scan_extrema
+from interfere.interference import _MAX_SWEEPS, _descend, _intensity_given_phases, _scan_extrema
 
 from helpers import equal_model, random_density, random_family_state
 
@@ -60,16 +60,62 @@ def _assert_no_worse_than_reference(rho, settings, grid_points=ref.GRID_POINTS):
     _assert_no_worse(_scan_extrema(rho, settings), ref.scan_extrema(rho, settings, grid_points))
 
 
+# The source counts each test below runs at.
+GRID_N = (2, 3, 4)
+PER_START_N = (2, 3, 5, 8)
+SMALL_N = tuple(range(2, 9))
+MANY_N = (12, 16)
+DEFAULT_N = (2, 3, 4, 5, 8)
+
+
+def grid_states(n):
+    """The states the grid-size tests scan at ``n``."""
+    rng = np.random.default_rng(4000 + n)
+    return [kind(rng, n) for kind in KINDS]
+
+
+def per_start_cases(n):
+    """``(rho, starts)`` for the per-start test at ``n``: eight starts per state.
+
+    Starts on multiples of pi/2 put exact zeros into the field sums.
+    """
+    rng = np.random.default_rng(4100 + n)
+    cases = []
+    for kind in KINDS:
+        rho = kind(rng, n)
+        starts = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, (4, n)), 0.5 * np.pi * rng.integers(0, 4, (4, n))])
+        starts[:, 0] = 0.0
+        cases.append((rho, starts))
+    return cases
+
+
+def small_settings_cases(n):
+    """``(rho, settings, grid_points)``: a state for each kind and small setting, then the equal state."""
+    rng = np.random.default_rng(5000 + n)
+    cases = [(kind(rng, n), settings, grid_points) for kind in KINDS for settings, grid_points in SMALL_SETTINGS]
+    return cases + [(mix(equal_model(n, 1.0)), *SMALL_SETTINGS[1])]
+
+
+def many_sources_cases(n):
+    """``(rho, settings)``: one start from a drawn seed for each kind."""
+    rng = np.random.default_rng(6000 + n)
+    return [(kind(rng, n), ScanSettings(starts=1, seed=int(rng.integers(1 << 31)))) for kind in KINDS]
+
+
+def default_settings_states(n):
+    """The states scanned with default settings; one at N = 4, where the reference walks the 256^3 grid twice."""
+    rng = np.random.default_rng(7000 + n)
+    return [kind(rng, n) for kind in (KINDS[:1] if n == 4 else KINDS)]
+
+
 @functools.cache
 def _scanned_states(n):
     # One scan per state, shared by every grid size below.
-    rng = np.random.default_rng(4000 + n)
-    states = [kind(rng, n) for kind in KINDS]
-    return [(rho, _scan_extrema(rho, ScanSettings())) for rho in states]
+    return [(rho, _scan_extrema(rho, ScanSettings())) for rho in grid_states(n)]
 
 
 @pytest.mark.parametrize("grid_points", [2, 3, 7, 16, 64])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", GRID_N)
 def test_scan_no_worse_than_reference_grid_points(n, grid_points):
     # The grid once guaranteed a start near the global extrema up to four
     # sources; its best points must not beat the grid-free scan.  Odd sizes
@@ -94,40 +140,32 @@ def test_grid_points_do_not_steer_the_scan(n):
     assert settings == {ScanSettings(starts=3, seed=4300 + n)}, settings
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("n", PER_START_N)
 def test_every_start_reaches_its_reference_value(n):
-    # Starts on multiples of pi/2 put exact zeros into the field sums.
-    rng = np.random.default_rng(4100 + n)
-    for kind in KINDS:
-        rho = kind(rng, n)
+    for rho, starts in per_start_cases(n):
         base = float(rho.populations.sum())
-        starts = np.concatenate([rng.uniform(0.0, 2.0 * np.pi, (4, n)), 0.5 * np.pi * rng.integers(0, 4, (4, n))])
-        starts[:, 0] = 0.0
         sense = np.tile([1.0, -1.0], 4)
         want = [ref._descend(rho.entries, base, rho.pairs, row.copy(), s)[0] for row, s in zip(starts, sense)]
-        got = _descend(rho.entries, base, rho.pairs, starts, sense)
+        fields = np.exp(-1j * starts).T.copy()
+        values = (fields.conj() * (rho.entries @ fields)).real.sum(0)
+        _descend(rho.entries, fields, values, sense, np.ones(len(sense), bool), _MAX_SWEEPS)
+        got = _intensity_given_phases(base, rho.pairs, -np.angle(fields.T))
         assert np.max(np.abs(got - want)) <= TOL, (got, want)
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", SMALL_N)
 def test_small_settings_match_reference(n):
-    rng = np.random.default_rng(5000 + n)
-    for kind in KINDS:
-        for settings, grid_points in SMALL_SETTINGS:
-            _assert_no_worse_than_reference(kind(rng, n), settings, grid_points)
-    _assert_no_worse_than_reference(mix(equal_model(n, 1.0)), *SMALL_SETTINGS[1])
+    for rho, settings, grid_points in small_settings_cases(n):
+        _assert_no_worse_than_reference(rho, settings, grid_points)
 
 
-@pytest.mark.parametrize("n", [12, 16])
+@pytest.mark.parametrize("n", MANY_N)
 def test_many_sources_match_reference(n):
-    rng = np.random.default_rng(6000 + n)
-    for kind in KINDS:
-        _assert_no_worse_than_reference(kind(rng, n), ScanSettings(starts=1, seed=int(rng.integers(1 << 31))))
+    for rho, settings in many_sources_cases(n):
+        _assert_no_worse_than_reference(rho, settings)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+@pytest.mark.parametrize("n", DEFAULT_N)
 def test_default_settings_match_reference(n):
-    rng = np.random.default_rng(7000 + n)
-    # One N = 4 state: the reference walks the 256^3 grid twice.
-    for kind in KINDS[:1] if n == 4 else KINDS:
-        _assert_no_worse_than_reference(kind(rng, n), ScanSettings())
+    for rho in default_settings_states(n):
+        _assert_no_worse_than_reference(rho, ScanSettings())
