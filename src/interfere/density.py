@@ -92,7 +92,9 @@ def estimate_pid(rho, consistency_tol: float = 1e-9) -> PidReport:
     A pair is defined exactly when ``g1`` is: both populations exceed
     ``PAIR_FLOOR``.  Undefined pairs are reported with ``defined=False``
     and excluded from the spread and the consensus; the ratio is never
-    formed for them.
+    formed for them.  A defined reading is clamped at 1: a state accepted
+    up to ``PSD_TOL`` can put the raw ratio above 1 when a population is
+    tiny, and no population floor bounds it.
     """
     if not (np.isfinite(consistency_tol) and consistency_tol > 0):
         raise DomainError(f"consistency tolerance must be positive, got {consistency_tol!r}")
@@ -102,7 +104,7 @@ def estimate_pid(rho, consistency_tol: float = 1e-9) -> PidReport:
     live = table.live_pair
 
     p_ij = np.full(live.shape, float("nan"))
-    p_ij[live] = table.modulus[live] / np.sqrt(pops[table.i[live]] * pops[table.j[live]])
+    p_ij[live] = np.minimum(table.modulus[live] / np.sqrt(pops[table.i[live]] * pops[table.j[live]]), 1.0)
     pairs = map(PairEstimate, table.i.tolist(), table.j.tolist(), p_ij.tolist(), live.tolist())
     defined_values = p_ij[live]
 

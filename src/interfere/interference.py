@@ -28,7 +28,11 @@ Newton polish on the torus.  ``i_max_upper`` and ``i_min_lower`` bound the
 true extrema, and an extremum is certified when its interval is at most
 1e-12 wide; the descent for it stops there.  For three sources the
 relaxation is exact (Huang & Zhang, Math. Oper. Res. 2007); beyond that it
-can leave a gap of its own, which the flag then shows.
+can leave a gap of its own, which the flag then shows.  An extremum is
+open when more than 1e-9 of gap is left once the polish has converged: no
+row can close that gap, so the extremum is not bounded again, and each of
+its rows stops on a Newton test instead, once it sits at its own extremum
+or cannot overtake the best row.
 
 Complex off-diagonals
 ---------------------
@@ -64,14 +68,25 @@ DEFAULT_SCAN_SEED = 1905
 # A descent row stops when one full pass over the free phases improves the
 # objective by no more than _REFINE_STOP, or after _MAX_SWEEPS.  That bounds
 # one sweep's gain, not the distance to the extremum.  The distance is a
-# duality bound, taken by the scan at sweeps 1, 2, 4, ... and at the end on
-# each extremum's best stopped row; an extremum is certified when the bound
-# is within _CERTIFIED_GAP of the value, and its other rows then stop.
+# duality bound, taken by the scan at the end of each stage on each
+# extremum's best row (from sweep 4 on, also while that row still runs); an
+# extremum is certified when the bound is within _CERTIFIED_GAP of the value,
+# and its rows then stop.
 _REFINE_STOP = 1e-12
 _MAX_SWEEPS = 500
 _CERTIFIED_GAP = 1e-12
-# Newton steps one polish may take; a degenerate extremum converges linearly.
+# Newton steps one polish or one settling pass may take; a degenerate
+# extremum converges linearly.
 _POLISH_STEPS = 30
+# An extremum is open when the bound stays more than _OPEN_GAP above a
+# converged Newton polish of its best row: that gap is the SDP relaxation's,
+# and no row can close it.  Its rows then run stages of at most _OPEN_STAGE
+# sweeps, and each also stops on a Newton test: at its own extremum, or
+# unable to reach the best row even with _SETTLE_MARGIN times the gain its
+# quadratic model predicts.
+_OPEN_GAP = 1e-9
+_OPEN_STAGE = 16
+_SETTLE_MARGIN = 4.0
 
 # Pair terms per block of phase rows in the intensity kernel: O(M) memory.
 _KERNEL_BLOCK = 1 << 15
@@ -293,20 +308,27 @@ def _descend(entries, fields, values, sense, going, sweeps):
     the ``_MAX_SWEEPS`` cap, and reads the intensity at ``phi = -arg v``.
     """
     coef = 2.0 * (entries - np.diag(entries.diagonal()))
+    updates = list(enumerate(coef))[1:]
     rows = np.flatnonzero(going)
     moving, sign = fields.take(rows, 1), sense[rows]
+    real, imag = moving.real, moving.imag
     for _ in range(sweeps):
-        for m in range(1, len(coef)):
-            w = coef[m] @ moving
+        for m, row in updates:
+            w = row @ moving
             size = np.abs(w) * sign
-            np.divide(w.real, size, out=moving.real[m], where=(live := size != 0.0))
-            np.divide(w.imag, size, out=moving.imag[m], where=live)
+            if size.all():
+                np.divide(w.real, size, out=real[m])
+                np.divide(w.imag, size, out=imag[m])
+            else:
+                np.divide(w.real, size, out=real[m], where=(live := size != 0.0))
+                np.divide(w.imag, size, out=imag[m], where=live)
         current = (moving.conj() * (entries @ moving)).real.sum(0)
         still = sign * (current - values[rows]) > _REFINE_STOP
         values[rows] = current
         if not still.all():
             fields[:, rows] = moving
             rows, moving, sign = rows[still], moving.compress(still, 1), sign[still]
+            real, imag = moving.real, moving.imag
             if not rows.size:
                 break
     fields[:, rows] = moving
@@ -334,30 +356,43 @@ def _dual_bound(entries, field, sense) -> float:
     return float(y.sum() + n * max(spectrum[-1], 0.0) + allowance)
 
 
+def _torus_derivatives(m, fields):
+    """Values, gradients and Hessians of ``v^H m v`` over the free phases.
+
+    One entry per column of ``fields``.  With phi[0] fixed, the gradient is
+    ``-2 Im(conj(v) (m v))`` and the Hessian ``2 Re(conj(v_k) m_kl v_l)``
+    off the diagonal, with rows that sum to zero.
+    """
+    columns = fields.T
+    products = columns.conj()[:, :, None] * m * columns[:, None, :]
+    gradients = -2.0 * products.imag[:, 1:].sum(2)
+    hessians = 2.0 * products.real[:, 1:, 1:]
+    free = np.arange(m.shape[0] - 1)
+    hessians[:, free, free] -= 2.0 * products.real[:, 1:].sum(2)
+    return products.real.sum((1, 2)), gradients, hessians
+
+
 def _polish(entries, field, sense, noise):
     """Safeguarded Newton ascent of ``sense * v^H rho v`` on the torus.
 
-    Newton's method on a manifold (Absil, Mahony & Sepulchre, 2008, ch. 6).
-    With phi[0] fixed, the gradient is ``-2 Im(conj(v) (rho v))`` and the
-    Hessian ``2 Re(conj(v_k) rho_kl v_l)`` off the diagonal, with rows that
-    sum to zero, both times ``sense``.  A step is the minimum-norm Newton
-    step over the Hessian's eigen-directions of negative curvature, so a
-    manifold of extrema (closed polygons of a family state at N >= 4) is no
-    obstacle.  A step goes on while it raises the value, or keeps it within
-    ``noise`` and shrinks the gradient: near an extremum the value no longer
-    resolves the distance to it, but the duality bound does.  The polish
-    ends once the gradient is down to ``noise`` too.  Returns the field of
-    highest value, that value, and the last field, whose multipliers give
-    the bound.
+    Newton's method on a manifold (Absil, Mahony & Sepulchre, 2008, ch. 6),
+    with the derivatives of :func:`_torus_derivatives`.  A step is the
+    minimum-norm Newton step over the Hessian's eigen-directions of
+    negative curvature, so a manifold of extrema (closed polygons of a
+    family state at N >= 4) is no obstacle.  A step goes on while it raises
+    the value, or keeps it within ``noise`` and shrinks the gradient: near
+    an extremum the value no longer resolves the distance to it, but the
+    duality bound does.  The polish ends once the gradient is down to
+    ``noise`` too.  Returns the field of highest value, that value, the
+    last field, whose multipliers give the bound, and the largest gradient
+    component there: at most ``noise`` when the polish converged.
     """
     m = sense * entries
-    free, flat = np.arange(len(field) - 1), np.sqrt(np.finfo(float).eps)
+    flat = np.sqrt(np.finfo(float).eps)
     best, top = field, -np.inf
     value, slope, trial = -np.inf, np.inf, field
     for _ in range(_POLISH_STEPS):
-        products = trial.conj()[:, None] * m * trial
-        trial_value = products.real.sum()
-        gradient = -2.0 * products.imag[1:].sum(1)
+        (trial_value,), (gradient,), (hessian,) = _torus_derivatives(m, trial[:, None])
         trial_slope = np.abs(gradient).max()
         if trial_value > top:
             best, top = trial, trial_value
@@ -366,8 +401,6 @@ def _polish(entries, field, sense, noise):
         field, value, slope = trial, trial_value, trial_slope
         if slope <= noise:
             break
-        hessian = 2.0 * products.real[1:, 1:]
-        hessian[free, free] -= 2.0 * products.real[1:].sum(1)
         curvature, axes = np.linalg.eigh(hessian)
         ascent = curvature < -flat * np.abs(curvature).max()
         if not ascent.any():
@@ -375,7 +408,46 @@ def _polish(entries, field, sense, noise):
         curvature, axes = curvature[ascent], axes[:, ascent]
         trial = field.copy()
         trial[1:] *= np.exp(1j * (axes @ ((axes.T @ gradient) / curvature)))
-    return best, float(top), field
+    return best, float(top), field, slope
+
+
+def _settle(entries, fields, values, sense, rows, best):
+    """Newton endgame for the rows ``rows`` of an open extremum; returns the mask of rows that stop.
+
+    ``best`` is the extremum's best value so far, in units of ``sense *
+    v^H rho v``.  Each pass evaluates every row still examined in one batch:
+    a row whose Hessian is not definite goes back to the sweeps.  At a
+    definite one, the Newton decrement ``delta = -g^T H^-1 g / 2`` is what a
+    Newton step would gain on the quadratic model; a row stops if even
+    ``_SETTLE_MARGIN * delta`` above its value trails ``best``, since it
+    cannot overtake the best row, or if ``delta`` is at most
+    ``_REFINE_STOP / 10``, since it sits at its extremum.  The other rows
+    take the Newton step, in place; a step that lowers the value is undone
+    and sends its row back to the sweeps.
+    """
+    m = sense * entries
+    flat = np.sqrt(np.finfo(float).eps)
+    stop = np.zeros(len(rows), bool)
+    examined = np.arange(len(rows))
+    for _ in range(_POLISH_STEPS):
+        value, gradient, hessian = _torus_derivatives(m, fields[:, rows[examined]])
+        curvature = np.linalg.eigvalsh(hessian)
+        definite = curvature[:, -1] < -flat * np.abs(curvature).max(1)
+        examined, value, gradient = examined[definite], value[definite], gradient[definite]
+        newton = np.linalg.solve(hessian[definite], gradient[:, :, None])[:, :, 0]
+        decrement = -0.5 * (gradient * newton).sum(1)
+        best = max(best, value.max(initial=-np.inf))
+        done = (decrement <= _REFINE_STOP / 10) | (value + _SETTLE_MARGIN * decrement < best)
+        stop[examined[done]] = True
+        examined, value, newton = examined[~done], value[~done], newton[~done]
+        if not examined.size:
+            break
+        trial = fields[:, rows[examined]] * np.vstack([np.ones(len(examined)), np.exp(1j * newton.T)])
+        reached = (trial.conj() * (entries @ trial)).real.sum(0)
+        raised = sense * reached >= value
+        examined = examined[raised]
+        fields[:, rows[examined]], values[rows[examined]] = trial[:, raised], reached[raised]
+    return stop
 
 
 def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
@@ -385,15 +457,17 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     and duality bounds on the true ones.  One loop runs the descent in
     stages up to sweeps 1, 2, 4, ... and ``_MAX_SWEEPS``, after which every
     row counts as stopped.  After each stage, it bounds each extremum's best
-    stopped row by its own multipliers and, if that leaves a gap above
-    ``_CERTIFIED_GAP``, by those of its Newton polish; a polish that raises
-    the row by more than the gap takes the row's place.  Once the row is
-    proven, no other row can beat it by more than the gap, and the
-    extremum's rows stop, unless only the polish proves it and could still
-    raise it beyond rounding: the row then sits near a degenerate extremum
-    that rows still running approach, and they run on to their own stops,
-    so the answer keeps the full descent's bits.  Each row's value is the
-    kernel's at ``phi = -arg v``.
+    row (from sweep 4 on, also while it is still going; before, only once it
+    has stopped) by its own multipliers and, if that leaves a gap above
+    ``_CERTIFIED_GAP``, by those of its Newton polish; a polish of higher
+    value takes the row's place.  Once the row is proven, no other row can
+    beat it by more than the gap, and the extremum's rows stop.  An
+    extremum whose polish converges and still leaves the bound more than
+    ``_OPEN_GAP`` above it is open: the gap is the relaxation's, not the
+    row's, so it is neither polished nor bounded again.  Its rows then stop
+    on :func:`_settle`'s Newton test, run after each stage, of at most
+    ``_OPEN_STAGE`` sweeps while an extremum is open.  Each row's value is
+    the kernel's at ``phi = -arg v``.
     """
     n = int(rho.n)
     base = float(rho.populations.sum())
@@ -412,32 +486,39 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     fields = np.exp(-1j * np.concatenate([seeded, seeded])).T.copy()
     values = (fields.conj() * (rho.entries @ fields)).real.sum(0)
     # Per extremum, in units of sense * intensity: the best row value
-    # examined so far, the least bound and the highest polished value.
-    tried, bounds, polished = [-np.inf] * 2, [np.inf] * 2, [-np.inf] * 2
+    # examined so far, the least bound, and whether it is open.
+    tried, bounds, opened = [-np.inf] * 2, [np.inf] * 2, [False] * 2
     noise = n * np.finfo(float).eps * np.abs(rho.entries).sum()  # rounding of v^H rho v
     swept, going = 0, np.ones(values.shape, bool)
     while going.any():
         # Stages of 1, 1, 2, 4, ... sweeps end at sweeps 1, 2, 4, ..., then at the cap.
         stage = min(max(swept, 1), _MAX_SWEEPS - swept)
+        if any(opened):
+            stage = min(stage, _OPEN_STAGE)
         going = _descend(rho.entries, fields, values, sense, going, stage)
         swept += stage
         if swept == _MAX_SWEEPS:
             going[:] = False
         for k, s in enumerate((1.0, -1.0)):
             own = slice(k * count, (k + 1) * count)
+            if opened[k]:
+                rows = k * count + np.flatnonzero(going[own])
+                stop = _settle(rho.entries, fields, values, s, rows, float((s * values[own]).max()))
+                going[rows[stop]] = False
+                continue
             best = k * count + int(np.argmax(s * values[own]))
-            if going[best] or s * values[best] <= tried[k]:
+            if (going[best] and swept < 4) or s * values[best] <= tried[k]:
                 continue
             tried[k] = s * values[best]
             if bounds[k] - tried[k] > _CERTIFIED_GAP:
                 bounds[k] = min(bounds[k], _dual_bound(rho.entries, fields[:, best], s))
             if bounds[k] - tried[k] > _CERTIFIED_GAP:
-                field, value, refined = _polish(rho.entries, fields[:, best], s, noise)
+                field, value, refined, slope = _polish(rho.entries, fields[:, best], s, noise)
                 bounds[k] = min(bounds[k], _dual_bound(rho.entries, refined, s))
-                polished[k] = max(polished[k], value)
-                if value - tried[k] > _CERTIFIED_GAP:
+                if value > tried[k]:
                     fields[:, best], values[best], tried[k] = field, s * value, value
-            if bounds[k] - tried[k] <= _CERTIFIED_GAP and polished[k] - tried[k] <= noise:
+                opened[k] = slope <= noise and bounds[k] - tried[k] > _OPEN_GAP
+            if bounds[k] - tried[k] <= _CERTIFIED_GAP:
                 going[own] = False
     reached = _intensity_given_phases(base, rho.pairs, -np.angle(fields.T))
     return float(reached[:count].max()), float(reached[count:].min()), bounds[0], -bounds[1]

@@ -12,6 +12,7 @@ from interfere import (
     rho_distinguishable,
     rho_indistinguishable,
     validate_density,
+    visibility,
 )
 
 from helpers import equal_model, random_model
@@ -140,6 +141,16 @@ class TestEstimatePid:
         assert flags == {(0, 1): True, (0, 2): False, (1, 2): False}
         assert report.consistent
         assert report.consensus == pytest.approx(0.7, abs=1e-12)
+
+    def test_reading_above_one_is_clamped(self):
+        # Accepted up to PSD_TOL (min_eig about -9e-10), yet the raw ratio
+        # |rho_01| / sqrt(rho_00 rho_11) is 30: a tiny population lets it grow.
+        rho = np.array([[1e-12, 3e-5], [3e-5, 1 - 1e-12]], dtype=complex)
+        assert validate_density(rho).ok
+        report = estimate_pid(rho)
+        assert report.pairs[0].p_ij <= 1.0 and report.consensus <= 1.0
+        result = visibility(rho)
+        assert result.sum_g <= 1.0 and result.bound <= 1.0
 
     def test_consistency_tol_must_be_positive(self):
         with pytest.raises(DomainError):

@@ -1,11 +1,15 @@
 """Property-based invariants over randomized states, amplitudes, and phases."""
 
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interfere import (
+    PSD_TOL,
     Amplitudes,
+    DensityMatrix,
     EmissionModel,
     coherence_matrix,
     estimate_pid,
@@ -21,6 +25,37 @@ from helpers import random_density, random_model
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 mode_counts = st.integers(min_value=2, max_value=8)
 weights = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def boundary_family_states(draw):
+    """``(model, rho)`` for a family state at the polygon boundary, ``2 max|a| = sum |a|``.
+
+    The largest modulus is the sum of the others, so the phasors close only
+    when they all line up against it: the dark point is 0, ``i_min = 1 - p``,
+    and the minimum is degenerate, with a Hessian that is not definite there.
+    """
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(min_value=3, max_value=8))
+    moduli = rng.uniform(0.3, 1.0, size=n)
+    largest = rng.integers(n)
+    moduli[largest] = moduli.sum() - moduli[largest]
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    model = EmissionModel(Amplitudes.normalized(moduli * np.exp(1j * phases)), draw(weights))
+    return model, mix(model)
+
+
+@st.composite
+def psd_edge_states(draw):
+    """A general state whose smallest eigenvalue sits near ``-PSD_TOL / 2``, inside the tolerance."""
+    rng = np.random.default_rng(draw(seeds))
+    n = draw(st.integers(min_value=2, max_value=8))
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    values, vectors = np.linalg.eigh(a @ a.conj().T)
+    values /= values[1:].sum()
+    values[0] = -0.5 * PSD_TOL
+    entries = (vectors * values) @ vectors.conj().T
+    return DensityMatrix(entries / np.trace(entries).real)
 
 
 @given(seed=seeds, n=mode_counts, p_id=weights)
@@ -107,6 +142,35 @@ def test_family_scan_meets_minimum_at_polygon_boundary():
     result = visibility(mix(model))
     assert abs(result.i_min - 0.58) <= 1e-9
     assert result.i_min_lower <= 0.58 <= result.i_min
+
+
+@given(case=boundary_family_states())
+@settings(deadline=None)
+def test_family_scan_meets_degenerate_minimum(case):
+    model, rho = case
+    dark = 1.0 - model.p_id
+    result = visibility(rho)
+    assert abs(result.i_min - dark) <= 1e-9
+    assert result.i_min_lower <= dark
+
+
+@given(rho=psd_edge_states())
+@settings(deadline=None)
+def test_readouts_agree_with_accepted_indefinite_state(rho):
+    # Accepted up to PSD_TOL, so every readout must stay consistent: readings
+    # of at most 1, extrema inside their own bounds, samples inside those.
+    n = int(rho.n)
+    assert -PSD_TOL < validate_density(rho).min_eig < 0.0
+    report = estimate_pid(rho)
+    assert all(pair.p_ij <= 1.0 for pair in report.pairs if pair.defined)
+    result = visibility(rho)
+    assert result.sum_g <= math.comb(n, 2)
+    assert result.bound is None or result.bound <= math.comb(n, 2)
+    assert 0.0 <= result.i_min_lower <= result.i_min <= result.i_max <= result.i_max_upper
+    for phi in np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, size=(16, n)):
+        value = intensity(rho, phi)
+        assert value >= -n * PSD_TOL
+        assert result.i_min_lower - 1e-12 <= max(value, 0.0) and value <= result.i_max_upper + 1e-12
 
 
 @given(seed=seeds, n=mode_counts)
