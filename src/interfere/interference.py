@@ -29,10 +29,11 @@ true extrema, and an extremum is certified when its interval is at most
 1e-12 wide; the descent for it stops there.  For three sources the
 relaxation is exact (Huang & Zhang, Math. Oper. Res. 2007); beyond that it
 can leave a gap of its own, which the flag then shows.  An extremum is
-open when more than 1e-9 of gap is left once the polish has converged: no
-row can close that gap, so the extremum is not bounded again, and each of
-its rows stops on a Newton test instead, once it sits at its own extremum
-or cannot overtake the best row.
+open when more than 1e-9 of gap is left once the polish has converged:
+the relaxation's own gap, or a best row at a local extremum.  It is
+bounded again only once another row overtakes that best by more than
+1e-9, and meanwhile each of its rows stops on a Newton test, once it sits
+at its own extremum or cannot overtake the best row.
 
 Complex off-diagonals
 ---------------------
@@ -79,16 +80,19 @@ _CERTIFIED_GAP = 1e-12
 # extremum converges linearly.
 _POLISH_STEPS = 30
 # An extremum is open when the bound stays more than _OPEN_GAP above a
-# converged Newton polish of its best row: that gap is the SDP relaxation's,
-# and no row can close it.  Its rows then run stages of at most _OPEN_STAGE
-# sweeps, and each also stops on a Newton test: at its own extremum, or
-# unable to reach the best row even with _SETTLE_MARGIN times the gain its
-# quadratic model predicts.
+# converged Newton polish of its best row: the SDP relaxation leaves a gap
+# there, or the row sits at a local extremum.  It is examined again once a
+# row overtakes that best by more than _OPEN_GAP.  Meanwhile its rows run
+# stages of at most _OPEN_STAGE sweeps, and each also stops on a Newton
+# test: at its own extremum, or unable to reach the best row even with
+# _SETTLE_MARGIN times the gain its quadratic model predicts.
 _OPEN_GAP = 1e-9
 _OPEN_STAGE = 16
 _SETTLE_MARGIN = 4.0
 
-# Pair terms per block of phase rows in the intensity kernel: O(M) memory.
+# Terms per block of rows in the batched kernels, so memory stays O(rows):
+# pair terms in the intensity kernel, N^2 products per row in the Newton
+# endgame.
 _KERNEL_BLOCK = 1 << 15
 
 # Most phase rows times sources one call may hold (screen samples, scan
@@ -316,7 +320,7 @@ def _descend(entries, fields, values, sense, going, sweeps):
         for m, row in updates:
             w = row @ moving
             size = np.abs(w) * sign
-            if size.all():
+            if np.count_nonzero(size) == size.size:
                 np.divide(w.real, size, out=real[m])
                 np.divide(w.imag, size, out=imag[m])
             else:
@@ -423,30 +427,34 @@ def _settle(entries, fields, values, sense, rows, best):
     cannot overtake the best row, or if ``delta`` is at most
     ``_REFINE_STOP / 10``, since it sits at its extremum.  The other rows
     take the Newton step, in place; a step that lowers the value is undone
-    and sends its row back to the sweeps.
+    and sends its row back to the sweeps.  Rows go in blocks of at most
+    ``_KERNEL_BLOCK / N^2``, so the ``(rows, N, N)`` derivatives stay
+    within a fixed size.
     """
     m = sense * entries
     flat = np.sqrt(np.finfo(float).eps)
     stop = np.zeros(len(rows), bool)
-    examined = np.arange(len(rows))
-    for _ in range(_POLISH_STEPS):
-        value, gradient, hessian = _torus_derivatives(m, fields[:, rows[examined]])
-        curvature = np.linalg.eigvalsh(hessian)
-        definite = curvature[:, -1] < -flat * np.abs(curvature).max(1)
-        examined, value, gradient = examined[definite], value[definite], gradient[definite]
-        newton = np.linalg.solve(hessian[definite], gradient[:, :, None])[:, :, 0]
-        decrement = -0.5 * (gradient * newton).sum(1)
-        best = max(best, value.max(initial=-np.inf))
-        done = (decrement <= _REFINE_STOP / 10) | (value + _SETTLE_MARGIN * decrement < best)
-        stop[examined[done]] = True
-        examined, value, newton = examined[~done], value[~done], newton[~done]
-        if not examined.size:
-            break
-        trial = fields[:, rows[examined]] * np.vstack([np.ones(len(examined)), np.exp(1j * newton.T)])
-        reached = (trial.conj() * (entries @ trial)).real.sum(0)
-        raised = sense * reached >= value
-        examined = examined[raised]
-        fields[:, rows[examined]], values[rows[examined]] = trial[:, raised], reached[raised]
+    block = max(1, _KERNEL_BLOCK // m.size)
+    for first in range(0, len(rows), block):
+        examined = np.arange(first, min(first + block, len(rows)))
+        for _ in range(_POLISH_STEPS):
+            value, gradient, hessian = _torus_derivatives(m, fields[:, rows[examined]])
+            curvature = np.linalg.eigvalsh(hessian)
+            definite = curvature[:, -1] < -flat * np.abs(curvature).max(1)
+            examined, value, gradient = examined[definite], value[definite], gradient[definite]
+            newton = np.linalg.solve(hessian[definite], gradient[:, :, None])[:, :, 0]
+            decrement = -0.5 * (gradient * newton).sum(1)
+            best = max(best, value.max(initial=-np.inf))
+            done = (decrement <= _REFINE_STOP / 10) | (value + _SETTLE_MARGIN * decrement < best)
+            stop[examined[done]] = True
+            examined, value, newton = examined[~done], value[~done], newton[~done]
+            if not examined.size:
+                break
+            trial = fields[:, rows[examined]] * np.vstack([np.ones(len(examined)), np.exp(1j * newton.T)])
+            reached = (trial.conj() * (entries @ trial)).real.sum(0)
+            raised = sense * reached >= value
+            examined = examined[raised]
+            fields[:, rows[examined]], values[rows[examined]] = trial[:, raised], reached[raised]
     return stop
 
 
@@ -463,9 +471,11 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     value takes the row's place.  Once the row is proven, no other row can
     beat it by more than the gap, and the extremum's rows stop.  An
     extremum whose polish converges and still leaves the bound more than
-    ``_OPEN_GAP`` above it is open: the gap is the relaxation's, not the
-    row's, so it is neither polished nor bounded again.  Its rows then stop
-    on :func:`_settle`'s Newton test, run after each stage, of at most
+    ``_OPEN_GAP`` above it is open: the relaxation leaves a gap there, or
+    the row sits at a local extremum.  It is neither polished nor bounded
+    again until a row overtakes that best by more than ``_OPEN_GAP``; then
+    the new best row is examined as above.  Meanwhile its rows stop on
+    :func:`_settle`'s Newton test, run after each stage, of at most
     ``_OPEN_STAGE`` sweeps while an extremum is open.  Each row's value is
     the kernel's at ``phi = -arg v``.
     """
@@ -505,9 +515,11 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
                 rows = k * count + np.flatnonzero(going[own])
                 stop = _settle(rho.entries, fields, values, s, rows, float((s * values[own]).max()))
                 going[rows[stop]] = False
-                continue
             best = k * count + int(np.argmax(s * values[own]))
-            if (going[best] and swept < 4) or s * values[best] <= tried[k]:
+            # An open extremum is examined again only once a row has overtaken
+            # its polished best by more than _OPEN_GAP: a local extremum.
+            opened[k] = opened[k] and s * values[best] <= tried[k] + _OPEN_GAP
+            if opened[k] or (going[best] and swept < 4) or s * values[best] <= tried[k]:
                 continue
             tried[k] = s * values[best]
             if bounds[k] - tried[k] > _CERTIFIED_GAP:

@@ -76,6 +76,10 @@ DEFAULT_N = (2, 3, 4, 5, 8)
 # with a definite Hessian at its first Newton test would lose 1e-5 at
 # N = 6 and 1.4e-6 at N = 8.
 OPEN_DRAWS = {6: (7, 191), 8: (4, 150)}
+# Real states ``B B^T`` (seeded ``100 * seed + n``) whose first converged
+# polish sits at a local extremum and leaves an extremum open; a row later
+# overtakes it, and at the true extremum the relaxation is exact.
+REOPEN_SEEDS = {4: 69, 5: 23, 6: 41}
 
 
 def grid_states(n):
@@ -123,6 +127,13 @@ def open_extremum_states(n):
     rng = np.random.default_rng(8100 + n)
     states = [random_density(rng, n) for _ in range(max(OPEN_DRAWS[n]) + 1)]
     return [states[k] for k in OPEN_DRAWS[n]]
+
+
+def reopen_state(n):
+    """The real state at ``n`` from ``REOPEN_SEEDS``."""
+    b = np.random.default_rng(100 * REOPEN_SEEDS[n] + n).normal(size=(n, n))
+    rho = b @ b.T
+    return DensityMatrix(rho / np.trace(rho))
 
 
 @functools.cache
@@ -210,3 +221,34 @@ def test_open_extrema_match_reference(n, monkeypatch):
         _assert_no_worse(got, want)
         i_max, i_min, i_max_upper, i_min_lower = got
         assert i_min_lower <= min(i_min, want[1]) and max(i_max, want[0]) <= i_max_upper, (got, want)
+
+
+@pytest.mark.parametrize("n", sorted(REOPEN_SEEDS))
+def test_overtaken_open_extremum_is_examined_again(n, monkeypatch):
+    # The first polish converges at a local extremum, so the extremum opens;
+    # once a row overtakes it, the new best row is bounded and polished, and
+    # both extrema end certified, which also puts them within 1e-12 of any
+    # reference's.
+    settle, settled = interference._settle, []
+    monkeypatch.setattr(interference, "_settle", lambda *args: settled.append(args) or settle(*args))
+    rho = reopen_state(n)
+    got = _scan_extrema(rho, ScanSettings())
+    assert settled, "no extremum was open"
+    i_max, i_min, i_max_upper, i_min_lower = got
+    assert i_max_upper - i_max <= TOL and i_min - i_min_lower <= TOL, got
+
+
+def test_settle_memory_is_bounded_by_the_block(monkeypatch):
+    # Many starts at N = 16 leave hundreds of rows to settle; each batch of
+    # derivatives holds at most _KERNEL_BLOCK products, however many rows.
+    derivatives, batches = interference._torus_derivatives, []
+    settle, settled = interference._settle, []
+    monkeypatch.setattr(interference, "_settle", lambda *args: settled.append(len(args[4])) or settle(*args))
+    monkeypatch.setattr(
+        interference, "_torus_derivatives", lambda m, f: batches.append(f.shape[1] * m.size) or derivatives(m, f)
+    )
+    rho = random_density(np.random.default_rng(9000), 16)
+    i_max, i_min, i_max_upper, i_min_lower = _scan_extrema(rho, ScanSettings(starts=400))
+    assert max(settled) * 16**2 > interference._KERNEL_BLOCK, settled
+    assert max(batches) <= interference._KERNEL_BLOCK, max(batches)
+    assert i_min_lower <= i_min <= i_max <= i_max_upper
