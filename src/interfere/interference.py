@@ -91,17 +91,23 @@ _OPEN_STAGE = 16
 _SETTLE_MARGIN = 4.0
 
 # Terms per block of rows in the batched kernels, so memory stays O(rows):
-# pair terms in the intensity kernel, N^2 products per row in the Newton
-# endgame.
+# pair terms in the intensity kernel and in ``pattern``'s streamed phase
+# table, N^2 products per row in the Newton endgame.
 _KERNEL_BLOCK = 1 << 15
 
-# Most phase rows times sources one call may hold (screen samples, scan
-# starts, sampled phase vectors): at 8 bytes per value, 128 MiB.
+# Most phase values (rows times sources: screen samples, scan starts, sampled
+# phase vectors) one call may ask for.  ``pattern`` holds about 4 * 8 bytes per
+# sample (positions, intensities, their read-only copies) plus one kernel block.
 MAX_PATTERN_VALUES = 1 << 24
 
 
+def _block_rows(terms_per_row: int) -> int:
+    """Rows per block of at most ``_KERNEL_BLOCK`` terms, at least one."""
+    return max(1, _KERNEL_BLOCK // terms_per_row)
+
+
 def check_budget(rows: int, n: int, what: str) -> None:
-    """Reject ``rows`` phase rows of ``n`` sources beyond ``MAX_PATTERN_VALUES``."""
+    """Reject ``rows`` phase rows of ``n`` sources: more than ``MAX_PATTERN_VALUES`` phase values."""
     if rows * n > MAX_PATTERN_VALUES:
         raise DomainError(f"{what} for {n} sources: more than {MAX_PATTERN_VALUES} pattern values")
 
@@ -225,7 +231,7 @@ def _intensity_given_phases(base: float, pairs: PairTable, phases) -> np.ndarray
     one takes ``np.add.accumulate``.
     """
     columns = np.atleast_2d(phases).T
-    step = max(1, _KERNEL_BLOCK // pairs.i.shape[0])
+    step = _block_rows(pairs.i.shape[0])
     total = np.empty(columns.shape[1])
     for start in range(0, columns.shape[1], step):
         block = columns[:, start:start + step]
@@ -289,10 +295,13 @@ def pattern(rho, geometry: DetectionGeometry, x_min: float, x_max: float, sample
     ends = _path_phases(geometry, np.array([x_min, x_max]))
     if not (math.isfinite(x_max - x_min) and np.isfinite(ends).all()):
         raise DomainError(f"screen interval [{x_min!r}, {x_max!r}] overflows the sample spacing or the phases")
-    positions = np.linspace(x_min, x_max, samples)
-    phase_table = _path_phases(geometry, positions)
-    # The kernel transposes back, so the source rows it gathers are contiguous.
-    values = _intensity_given_phases(float(rho.populations.sum()), rho.pairs, phase_table.T)
+    positions, values = np.linspace(x_min, x_max, samples), np.empty(samples)
+    base, step = float(rho.populations.sum()), _block_rows(rho.pairs.i.shape[0])
+    # No (N, samples) table: one kernel block of phases at a time, at the kernel's
+    # own boundaries so a one-row tail keeps its bits; the kernel transposes back.
+    for start in range(0, samples, step):
+        block = _path_phases(geometry, positions[start:start + step])
+        values[start:start + step] = _intensity_given_phases(base, rho.pairs, block.T)
     return IntensityPattern(positions, values, geometry)
 
 
@@ -434,7 +443,7 @@ def _settle(entries, fields, values, sense, rows, best):
     m = sense * entries
     flat = np.sqrt(np.finfo(float).eps)
     stop = np.zeros(len(rows), bool)
-    block = max(1, _KERNEL_BLOCK // m.size)
+    block = _block_rows(m.size)
     for first in range(0, len(rows), block):
         examined = np.arange(first, min(first + block, len(rows)))
         for _ in range(_POLISH_STEPS):

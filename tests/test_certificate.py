@@ -9,6 +9,7 @@ interval is at most 1e-12 wide.  The states below are the ones
 import numpy as np
 import pytest
 
+import reference_extrema
 import reference_scan as ref
 from interfere import Amplitudes, EmissionModel, ScanSettings, mix, visibility
 from interfere.interference import _dual_bound, _scan_extrema
@@ -64,13 +65,14 @@ def _seed_109_state():
 
 def test_old_scan_miss_is_not_certified():
     # The grid-and-descent reference stops 1.5e-9 above the closed-form dark
-    # point of this state; a bound at its phases must not certify that.
+    # point of this state; a bound at its phases must not certify that.  The
+    # minimum of its 256^3 grid, where the descent starts, is stored.
     model = _seed_109_state()
     rho = mix(model)
     dark = 1.0 - model.p_id  # inside the polygon: the phasors close
-    base = float(rho.populations.sum())
-    _, phi = ref._grid_extremum(base, rho.pairs, 4, ref.GRID_POINTS, -1.0)
-    value, phi = ref._descend(rho.entries, base, rho.pairs, phi, -1.0)
+    entries, phi = reference_extrema.load_seed_109_grid_minimum()
+    assert np.array_equal(rho.entries, entries)
+    value, phi = ref._descend(rho.entries, float(rho.populations.sum()), rho.pairs, phi, -1.0)
     assert value - dark > 1e-9
     lower = -_dual_bound(rho.entries, np.exp(-1j * phi), -1.0)
     assert lower <= dark and value - lower > GAP

@@ -1,5 +1,6 @@
 """Screen physics: intensity, geometry phases, patterns, visibility, Born check."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -228,6 +229,38 @@ class TestPattern:
         result = pattern(rho, geometry, -0.05, 0.05, 1001)
         for x, value in zip(result.positions, result.intensities):
             assert value == intensity(rho, phases_from_geometry(geometry, x))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    @pytest.mark.parametrize("blocks", ["short", "one", "one-row tail", "many"])
+    def test_streamed_pattern_matches_one_table_bit_for_bit(self, n, blocks):
+        # pattern streams its phases in the kernel's blocks; the one-table
+        # route hands the kernel every phase at once.  2 * step + 1 samples end
+        # in a one-row block, which the kernel sums on its own rule.
+        step = max(1, interference._KERNEL_BLOCK // (n * (n - 1) // 2))
+        samples = {"short": step - 1, "one": step, "one-row tail": 2 * step + 1, "many": 100_000}[blocks]
+        rng = np.random.default_rng(300 + n)
+        rho = random_density(rng, n)
+        geometry = DetectionGeometry(np.sort(rng.uniform(-2e-5, 2e-5, n)), rng.uniform(0.5, 2.0), rng.uniform(4e-7, 7e-7))
+        result = pattern(rho, geometry, -0.05, 0.05, samples)
+        table = interference._path_phases(geometry, result.positions)
+        whole = interference._intensity_given_phases(float(rho.populations.sum()), rho.pairs, table.T)
+        assert result.intensities.tobytes() == whole.tobytes()
+
+    def test_pattern_memory_grows_with_samples_only(self):
+        # Positions, values and IntensityPattern's read-only copies of both
+        # take 4 * 8 bytes per sample; the phases add a few kernel blocks at
+        # most, not N * 8 bytes per sample.
+        samples, rng = 100_000, np.random.default_rng(308)
+        rho = random_density(rng, 8)
+        geometry = DetectionGeometry(np.sort(rng.uniform(-2e-5, 2e-5, 8)), 1.0, 5e-7)
+        pattern(rho, geometry, -0.05, 0.05, 11)
+        tracemalloc.start()
+        try:
+            pattern(rho, geometry, -0.05, 0.05, samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * samples + 4 * 8 * interference._KERNEL_BLOCK, peak
 
     def test_pattern_type_gate_scales_with_source_count(self):
         IntensityPattern(np.array([0.0, 1.0]), np.array([1.0, -1.5 * PSD_TOL]), TWO_SLIT)
