@@ -7,10 +7,9 @@ Usage, from the root of a checkout:
 
 Each side is exported with ``git archive`` into its own temporary directory,
 so both run from committed files only (their meta lines print git_sha
-unknown).  Each ``--workload W:PAIRS:SEED`` (``PAIRS`` defaults to
-``--pairs``, ``SEED`` to ``--seed``) runs PAIRS pairs; pair k runs
-``python3 perfbench/run.py --workload W --seed SEED --seconds T`` once on
-each side, the parent first in odd-numbered pairs and the change first in
+unknown).  Each ``--workload W:PAIRS[:SEED]`` (``SEED`` defaults to 1) runs
+PAIRS pairs; pair k runs ``python3 perfbench/run.py --workload W --seed SEED
+--seconds T`` once on each side, the parent first in odd-numbered pairs and the change first in
 even-numbered ones.  Nothing under ``perfbench/`` is touched; the metrics
 and their better direction are read from ``BENCHMARK.json``'s
 ``end_to_end`` list.
@@ -92,18 +91,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD^", help="git revision of the parent side (default HEAD^)")
     parser.add_argument("--change", default="HEAD", help="git revision of the change side (default HEAD)")
-    parser.add_argument("--workload", action="append", required=True, metavar="NAME[:PAIRS[:SEED]]",
-                        help="a workload, its number of pairs (default --pairs) and seed (default --seed); repeatable")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workload", action="append", required=True, metavar="NAME:PAIRS[:SEED]",
+                        help="a workload, its number of pairs and its seed (default 1); repeatable")
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--about", default="", help="text prepended to the file's 'about' line")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     plan = []
     for spec in args.workload:
-        name, count, seed = (spec.split(":") + ["", ""])[:3]
-        plan.append((name, int(count or args.pairs), int(seed or args.seed)))
+        name, count, *seed = spec.split(":")
+        plan.append((name, int(count), int(seed[0]) if seed else 1))
 
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
