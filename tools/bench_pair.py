@@ -99,8 +99,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     plan = []
     for spec in args.workload:
-        name, count, *seed = spec.split(":")
-        plan.append((name, int(count), int(seed[0]) if seed else 1))
+        try:
+            name, count, *seed = spec.split(":")
+            plan.append((name, int(count), int(seed[0]) if seed else 1))
+        except ValueError:
+            parser.error(f"--workload {spec!r} is not NAME:PAIRS[:SEED]")
 
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
