@@ -24,16 +24,16 @@ neither is silently preferred.
 Each scanned extremum comes with a proof of how far it can be from the
 true one: the weak-duality bound of the SDP relaxation (So, Zhang & Ye,
 Math. Program. 2007) at the multipliers of its best row, sharpened by a
-Newton polish on the torus.  ``i_max_upper`` and ``i_min_lower`` bound the
-true extrema, and an extremum is certified when its interval is at most
-1e-12 wide; the descent for it stops there.  For three sources the
+Newton polish of that row in place.  ``i_max_upper`` and ``i_min_lower``
+bound the true extrema, and an extremum is certified when its interval is
+at most 1e-12 wide; the descent for it stops there.  For three sources the
 relaxation is exact (Huang & Zhang, Math. Oper. Res. 2007); beyond that it
 can leave a gap of its own, which the flag then shows.  An extremum is
-open when more than 1e-9 of gap is left once the polish has converged:
-the relaxation's own gap, or a best row at a local extremum.  It is
-bounded again only once another row overtakes that best by more than
-1e-9, and meanwhile each of its rows stops on a Newton test, once it sits
-at its own extremum or cannot overtake the best row.
+open when more than 1e-9 of gap is left once the polish has converged: the
+relaxation's own gap, or a best row at a local extremum.  Until a row
+overtakes that best by more than 1e-9, it is not bounded again, and each
+of its rows stops on a Newton test once it sits at its own extremum or
+cannot overtake the best row.  Each descent stage runs at most 16 sweeps.
 
 Complex off-diagonals
 ---------------------
@@ -79,15 +79,15 @@ _CERTIFIED_GAP = 1e-12
 # Newton steps one polish or one settling pass may take; a degenerate
 # extremum converges linearly.
 _POLISH_STEPS = 30
-# An extremum is open when the bound stays more than _OPEN_GAP above a
-# converged Newton polish of its best row: the SDP relaxation leaves a gap
-# there, or the row sits at a local extremum.  It is examined again once a
-# row overtakes that best by more than _OPEN_GAP.  Meanwhile its rows run
-# stages of at most _OPEN_STAGE sweeps, and each also stops on a Newton
-# test: at its own extremum, or unable to reach the best row even with
-# _SETTLE_MARGIN times the gain its quadratic model predicts.
+# An extremum is open when the bound stays more than _OPEN_GAP above its
+# best row once a Newton polish, in place on that row, has converged: the SDP
+# relaxation leaves a gap there, or the row sits at a local extremum.  It is
+# examined again once a row overtakes that best by more than _OPEN_GAP.
+# Meanwhile its rows also stop on a Newton test: at their own extremum, or
+# unable to reach the best row even with _SETTLE_MARGIN times the gain their
+# quadratic model predicts.  Every stage runs at most _STAGE_CAP sweeps.
 _OPEN_GAP = 1e-9
-_OPEN_STAGE = 16
+_STAGE_CAP = 16
 _SETTLE_MARGIN = 4.0
 
 # Terms per block of rows in the batched kernels, so memory stays O(rows):
@@ -385,33 +385,31 @@ def _torus_derivatives(m, fields):
     return products.real.sum((1, 2)), gradients, hessians
 
 
-def _polish(entries, field, sense, noise):
-    """Safeguarded Newton ascent of ``sense * v^H rho v`` on the torus.
+def _polish(entries, fields, values, sense, row, noise):
+    """Safeguarded Newton ascent of ``sense * v^H rho v`` on the torus, in place on one row.
 
     Newton's method on a manifold (Absil, Mahony & Sepulchre, 2008, ch. 6),
     with the derivatives of :func:`_torus_derivatives`.  A step is the
-    minimum-norm Newton step over the Hessian's eigen-directions of
-    negative curvature, so a manifold of extrema (closed polygons of a
-    family state at N >= 4) is no obstacle.  A step goes on while it raises
-    the value, or keeps it within ``noise`` and shrinks the gradient: near
-    an extremum the value no longer resolves the distance to it, but the
-    duality bound does.  The polish ends once the gradient is down to
-    ``noise`` too.  Returns the field of highest value, that value, the
-    last field, whose multipliers give the bound, and the largest gradient
-    component there: at most ``noise`` when the polish converged.
+    minimum-norm Newton step over the Hessian's eigen-directions of negative
+    curvature, so a manifold of extrema (closed polygons of a family state
+    at N >= 4) is no obstacle.  A step goes on while it raises the value, or
+    keeps it within ``noise`` and shrinks the gradient: near an extremum the
+    value no longer resolves the distance to it, but the duality bound does.
+    The polish ends once the gradient is down to ``noise`` too.  Each step
+    taken goes to ``fields[:, row]`` and ``values[row]``, as :func:`_settle`
+    moves its rows, so the row ends at the last step, whose multipliers give
+    the bound.  Returns the largest gradient component there: at most
+    ``noise`` when the polish converged.
     """
     m = sense * entries
     flat = np.sqrt(np.finfo(float).eps)
-    best, top = field, -np.inf
-    value, slope, trial = -np.inf, np.inf, field
+    value, slope, trial = -np.inf, np.inf, fields[:, row]
     for _ in range(_POLISH_STEPS):
         (trial_value,), (gradient,), (hessian,) = _torus_derivatives(m, trial[:, None])
         trial_slope = np.abs(gradient).max()
-        if trial_value > top:
-            best, top = trial, trial_value
         if not (trial_value > value or (trial_value >= value - noise and trial_slope < slope)):
             break
-        field, value, slope = trial, trial_value, trial_slope
+        fields[:, row], values[row], value, slope = trial, sense * trial_value, trial_value, trial_slope
         if slope <= noise:
             break
         curvature, axes = np.linalg.eigh(hessian)
@@ -419,9 +417,9 @@ def _polish(entries, field, sense, noise):
         if not ascent.any():
             break
         curvature, axes = curvature[ascent], axes[:, ascent]
-        trial = field.copy()
+        trial = fields[:, row].copy()
         trial[1:] *= np.exp(1j * (axes @ ((axes.T @ gradient) / curvature)))
-    return best, float(top), field, slope
+    return slope
 
 
 def _settle(entries, fields, values, sense, rows, best):
@@ -472,21 +470,21 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
 
     Returns ``(i_max, i_min, i_max_upper, i_min_lower)``: the extrema found
     and duality bounds on the true ones.  One loop runs the descent in
-    stages up to sweeps 1, 2, 4, ... and ``_MAX_SWEEPS``, after which every
-    row counts as stopped.  After each stage, it bounds each extremum's best
-    row (from sweep 4 on, also while it is still going; before, only once it
-    has stopped) by its own multipliers and, if that leaves a gap above
-    ``_CERTIFIED_GAP``, by those of its Newton polish; a polish of higher
-    value takes the row's place.  Once the row is proven, no other row can
-    beat it by more than the gap, and the extremum's rows stop.  An
+    stages up to sweeps 1, 2, 4, ..., 32, then in stages of ``_STAGE_CAP``
+    sweeps, whatever is open, up to ``_MAX_SWEEPS``, after which every row
+    counts as stopped.  After each stage, it bounds each extremum's best row
+    (from sweep 4 on, also while it is still going; before, only once it has
+    stopped) by its own multipliers and, if that leaves a gap above
+    ``_CERTIFIED_GAP``, polishes the row in place with :func:`_polish` and
+    bounds it again at the polished field.  Once the row is proven, no other
+    row can beat it by more than the gap, and the extremum's rows stop.  An
     extremum whose polish converges and still leaves the bound more than
     ``_OPEN_GAP`` above it is open: the relaxation leaves a gap there, or
     the row sits at a local extremum.  It is neither polished nor bounded
     again until a row overtakes that best by more than ``_OPEN_GAP``; then
-    the new best row is examined as above.  Meanwhile its rows stop on
-    :func:`_settle`'s Newton test, run after each stage, of at most
-    ``_OPEN_STAGE`` sweeps while an extremum is open.  Each row's value is
-    the kernel's at ``phi = -arg v``.
+    the new best row is examined as above.  Meanwhile its rows also stop on
+    :func:`_settle`'s Newton test, run after each stage.  Each row's value
+    is the kernel's at ``phi = -arg v``.
     """
     n = int(rho.n)
     base = float(rho.populations.sum())
@@ -510,10 +508,8 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     noise = n * np.finfo(float).eps * np.abs(rho.entries).sum()  # rounding of v^H rho v
     swept, going = 0, np.ones(values.shape, bool)
     while going.any():
-        # Stages of 1, 1, 2, 4, ... sweeps end at sweeps 1, 2, 4, ..., then at the cap.
-        stage = min(max(swept, 1), _MAX_SWEEPS - swept)
-        if any(opened):
-            stage = min(stage, _OPEN_STAGE)
+        # Stages of 1, 1, 2, 4, 8 and 16 sweeps, then of _STAGE_CAP up to _MAX_SWEEPS.
+        stage = min(max(swept, 1), _STAGE_CAP, _MAX_SWEEPS - swept)
         going = _descend(rho.entries, fields, values, sense, going, stage)
         swept += stage
         if swept == _MAX_SWEEPS:
@@ -534,10 +530,9 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
             if bounds[k] - tried[k] > _CERTIFIED_GAP:
                 bounds[k] = min(bounds[k], _dual_bound(rho.entries, fields[:, best], s))
             if bounds[k] - tried[k] > _CERTIFIED_GAP:
-                field, value, refined, slope = _polish(rho.entries, fields[:, best], s, noise)
-                bounds[k] = min(bounds[k], _dual_bound(rho.entries, refined, s))
-                if value > tried[k]:
-                    fields[:, best], values[best], tried[k] = field, s * value, value
+                slope = _polish(rho.entries, fields, values, s, best, noise)
+                tried[k] = s * values[best]
+                bounds[k] = min(bounds[k], _dual_bound(rho.entries, fields[:, best], s))
                 opened[k] = slope <= noise and bounds[k] - tried[k] > _OPEN_GAP
             if bounds[k] - tried[k] <= _CERTIFIED_GAP:
                 going[own] = False
