@@ -96,8 +96,7 @@ def _tolerance(args, config: ExperimentConfig, default=None):
     return default
 
 
-def cmd_validate(args) -> int:
-    config = ExperimentConfig.from_path(args.config)
+def cmd_validate(args, config: ExperimentConfig) -> int:
     report = validate_density(config.state_matrix(), tol=_tolerance(args, config))
     payload = {
         "hermitian": report.hermitian,
@@ -109,8 +108,7 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_pid(args) -> int:
-    config = ExperimentConfig.from_path(args.config)
+def cmd_pid(args, config: ExperimentConfig) -> int:
     tol = _tolerance(args, config)
     report = estimate_pid(config.density(), **({} if tol is None else {"consistency_tol": tol}))
     payload = {
@@ -132,8 +130,7 @@ def cmd_pid(args) -> int:
     return 0 if report.consistent else 1
 
 
-def cmd_coherence(args) -> int:
-    config = ExperimentConfig.from_path(args.config)
+def cmd_coherence(args, config: ExperimentConfig) -> int:
     matrix = coherence_matrix(config.density())
     rows = []
     for i in range(matrix.entries.shape[0]):
@@ -153,8 +150,7 @@ def cmd_coherence(args) -> int:
     return 0
 
 
-def cmd_pattern(args) -> int:
-    config = ExperimentConfig.from_path(args.config)
+def cmd_pattern(args, config: ExperimentConfig) -> int:
     if config.geometry is None:
         raise ConfigError("pattern needs a geometry section in the config")
     result = pattern(config.density(), config.geometry, args.x_min, args.x_max, args.samples)
@@ -166,8 +162,7 @@ def cmd_pattern(args) -> int:
     return 0
 
 
-def cmd_visibility(args) -> int:
-    config = ExperimentConfig.from_path(args.config)
+def cmd_visibility(args, config: ExperimentConfig) -> int:
     settings = config.scan_settings(env_seed=_env_seed())
     result = visibility(config.density(), scan=settings)
     payload = {
@@ -182,8 +177,7 @@ def cmd_visibility(args) -> int:
     return 0
 
 
-def cmd_born_check(args) -> int:
-    config = ExperimentConfig.from_path(args.config)
+def cmd_born_check(args, config: ExperimentConfig) -> int:
     _check_integer("--phase-samples", args.phase_samples, 1)
     check_budget(args.phase_samples, config.n, f"--phase-samples {args.phase_samples}")
     rho = config.density()
@@ -237,7 +231,7 @@ def main(argv=None) -> int:
         tolerance = getattr(args, "tolerance", None)
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
             raise ConfigError(f"--tolerance must be a finite positive number, got {tolerance!r}")
-        return args.handler(args)
+        return args.handler(args, ExperimentConfig.from_path(args.config))
     except (ConfigError, OSError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -173,7 +173,7 @@ def validate_density(rho, tol: float | None = None) -> ValidationReport:
     eigenvalue of the Hermitian part of the input, which coincides with
     the spectrum whenever the Hermiticity check passes.
     """
-    entries = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    entries = np.asarray(rho, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DimensionError(f"density matrix must be square, got shape {entries.shape}")
     ModeCount(entries.shape[0])
@@ -226,10 +226,7 @@ class DensityMatrix:
     n: ModeCount = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(
-            self.entries.entries if isinstance(self.entries, DensityMatrix) else self.entries,
-            dtype=complex,
-        )
+        arr = np.array(self.entries, dtype=complex)
         report = validate_density(arr)
         if not report.ok:
             raise InvalidDensityMatrixError(
