@@ -252,3 +252,20 @@ def test_settle_memory_is_bounded_by_the_block(monkeypatch):
     assert max(settled) * 16**2 > interference._KERNEL_BLOCK, settled
     assert max(batches) <= interference._KERNEL_BLOCK, max(batches)
     assert i_min_lower <= i_min <= i_max <= i_max_upper
+
+
+def test_no_stage_runs_more_sweeps_than_the_cap(monkeypatch):
+    # One cap holds for every stage, whether or not an extremum is open.  The
+    # small-settings states at N = 7 include one that runs past sweep
+    # 2 * _STAGE_CAP, where a doubling schedule would ask for more.
+    descend, asked = interference._descend, []
+    monkeypatch.setattr(interference, "_descend", lambda *args: asked.append(args[-1]) or descend(*args))
+    cases = [case for n in MANY_N for case in many_sources_cases(n)]
+    cases += [(rho, settings) for rho, settings, _ in small_settings_cases(7)]
+    totals = []
+    for rho, settings in cases:
+        asked.clear()
+        _scan_extrema(rho, settings)
+        assert max(asked) <= interference._STAGE_CAP, asked
+        totals.append(sum(asked))
+    assert max(totals) > 2 * interference._STAGE_CAP, totals
