@@ -46,14 +46,17 @@ COUNTED = ("eigh", "eigvalsh", "solve")
 FIELDS = ("i_max", "i_min", "i_max_upper", "i_min_lower", "max_certified", "min_certified")
 
 
-def _seeded_entries(kind: str, n: int, rng, mix, EmissionModel, Amplitudes) -> np.ndarray:
+def _seeded_entries(kind: str, n: int, rng) -> np.ndarray:
+    """One seeded state's entries; ``interfere`` must be importable."""
+    from interfere import Amplitudes, EmissionModel, mix
+
     if kind == "family":
         values = rng.uniform(0.3, 1.0, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
         return mix(EmissionModel(Amplitudes.normalized(values), float(rng.uniform(0.0, 1.0)))).entries
     if kind == "real B B^T":
         a = rng.normal(size=(n, n))
     else:
-        rank = n if kind == "A A^H" else int(kind.split()[1])
+        rank = {"A A^H": n, "rank 1": 1, "rank 2": 2, "rank 3": 3}[kind]
         a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
@@ -63,7 +66,6 @@ def build_states(tree: str, out: str) -> None:
     """Child process: write the states of both sets to ``out`` (npz), built in ``tree``."""
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
     import workloads
-    from interfere import Amplitudes, EmissionModel, mix
 
     class Recorder:
         """A tracer that keeps every state the workload builds."""
@@ -86,7 +88,7 @@ def build_states(tree: str, out: str) -> None:
         for n in SEEDED_N:
             rng = np.random.default_rng([k, n])
             for _ in range(SEEDED_COUNT):
-                states.append(_seeded_entries(kind, n, rng, mix, EmissionModel, Amplitudes))
+                states.append(_seeded_entries(kind, n, rng))
                 sets.append("seeded")
     np.savez(out, sets=np.array(sets), **{f"state_{i}": entries for i, entries in enumerate(states)})
 
