@@ -81,6 +81,10 @@ def _check_index(index, count, what: str) -> int:
 
 
 def _readonly(values, dtype) -> np.ndarray:
+    """``values`` read-only: itself if it already is, owns its data and has ``dtype`` (None: any), else a copy."""
+    frozen = type(values) is np.ndarray and values.base is None and not values.flags.writeable
+    if frozen and dtype in (None, values.dtype):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr

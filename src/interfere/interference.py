@@ -84,20 +84,19 @@ _POLISH_STEPS = 30
 # relaxation leaves a gap there, or the row sits at a local extremum.  It is
 # examined again once a row overtakes that best by more than _OPEN_GAP.
 # Meanwhile its rows also stop on a Newton test: at their own extremum, or
-# unable to reach the best row even with _SETTLE_MARGIN times the gain their
-# quadratic model predicts.  Every stage runs at most _STAGE_CAP sweeps.
+# unable to reach the best row even with the gain their quadratic model
+# predicts.  Every stage runs at most _STAGE_CAP sweeps.
 _OPEN_GAP = 1e-9
 _STAGE_CAP = 16
-_SETTLE_MARGIN = 4.0
 
 # Terms per block of rows in the batched kernels, so memory stays O(rows):
-# pair terms in the intensity kernel and in ``pattern``'s streamed phase
-# table, N^2 products per row in the Newton endgame.
+# pair terms in the intensity kernel, N phase values plus the pair terms per
+# sample in ``pattern``'s stream, N^2 products per row in the Newton endgame.
 _KERNEL_BLOCK = 1 << 15
 
 # Most phase values (rows times sources: screen samples, scan starts, sampled
-# phase vectors) one call may ask for.  ``pattern`` holds about 4 * 8 bytes per
-# sample (positions, intensities, their read-only copies) plus one kernel block.
+# phase vectors) one call may ask for.  ``pattern`` holds 2 * 8 bytes per sample
+# (positions and intensities, handed over uncopied) plus one kernel block.
 MAX_PATTERN_VALUES = 1 << 24
 
 
@@ -178,20 +177,19 @@ class IntensityPattern:
     geometry: DetectionGeometry
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=float)
-        vals = np.asarray(self.intensities, dtype=float)
+        pos, vals = _readonly(self.positions, float), _readonly(self.intensities, float)
         if pos.ndim != 1 or pos.shape != vals.shape or pos.shape[0] < 2:
             raise DimensionError(
                 f"positions and intensities must be matching 1-D arrays of length >= 2, "
                 f"got {pos.shape} and {vals.shape}"
             )
-        if not np.all(np.diff(pos) > 0):
+        if not np.all(pos[1:] > pos[:-1]):
             raise DomainError("positions must be strictly increasing")
         # An accepted state's intensity can dip to -N * PSD_TOL (|phi|**2 = N).
         if vals.min(initial=0.0) < -self.geometry.n * PSD_TOL:
             raise DomainError(f"negative intensity {vals.min()!r} in pattern")
-        object.__setattr__(self, "positions", _readonly(pos, float))
-        object.__setattr__(self, "intensities", _readonly(vals, float))
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "intensities", vals)
 
 
 @dataclass(frozen=True)
@@ -263,8 +261,9 @@ def intensity(rho, phases, k=None) -> float:
 def _path_phases(geometry: DetectionGeometry, positions: np.ndarray) -> np.ndarray:
     """(N, M) propagation phases, one contiguous row per source; inf where a phase overflows."""
     with np.errstate(over="ignore"):
-        paths = np.hypot(geometry.screen_distance, positions[None, :] - geometry.source_positions[:, None])
-        return 2.0 * np.pi / geometry.wavelength * paths
+        paths = positions[None, :] - geometry.source_positions[:, None]
+        np.hypot(geometry.screen_distance, paths, out=paths)
+        return np.multiply(paths, 2.0 * np.pi / geometry.wavelength, out=paths)
 
 
 def phases_from_geometry(geometry: DetectionGeometry, screen_x: float) -> PhaseConfig:
@@ -295,13 +294,15 @@ def pattern(rho, geometry: DetectionGeometry, x_min: float, x_max: float, sample
     ends = _path_phases(geometry, np.array([x_min, x_max]))
     if not (math.isfinite(x_max - x_min) and np.isfinite(ends).all()):
         raise DomainError(f"screen interval [{x_min!r}, {x_max!r}] overflows the sample spacing or the phases")
-    positions, values = np.linspace(x_min, x_max, samples), np.empty(samples)
-    base, step = float(rho.populations.sum()), _block_rows(rho.pairs.i.shape[0])
-    # No (N, samples) table: one kernel block of phases at a time, at the kernel's
-    # own boundaries so a one-row tail keeps its bits; the kernel transposes back.
+    # linspace returns a view: positions are frozen by a copy before values exist.  No
+    # (N, samples) table: a block's N phases and pair terms fit one kernel block, so a
+    # one-row tail is summed by the kernel's own rule; the kernel transposes back.
+    positions, values = _readonly(np.linspace(x_min, x_max, samples), float), np.empty(samples)
+    base, step = float(rho.populations.sum()), _block_rows(rho.pairs.i.shape[0] + geometry.n)
     for start in range(0, samples, step):
         block = _path_phases(geometry, positions[start:start + step])
         values[start:start + step] = _intensity_given_phases(base, rho.pairs, block.T)
+    values.setflags(write=False)
     return IntensityPattern(positions, values, geometry)
 
 
@@ -430,7 +431,7 @@ def _settle(entries, fields, values, sense, rows, best):
     a row whose Hessian is not definite goes back to the sweeps.  At a
     definite one, the Newton decrement ``delta = -g^T H^-1 g / 2`` is what a
     Newton step would gain on the quadratic model; a row stops if even
-    ``_SETTLE_MARGIN * delta`` above its value trails ``best``, since it
+    ``delta`` above its value trails ``best``, the model's own test that it
     cannot overtake the best row, or if ``delta`` is at most
     ``_REFINE_STOP / 10``, since it sits at its extremum.  The other rows
     take the Newton step, in place; a step that lowers the value is undone
@@ -452,7 +453,7 @@ def _settle(entries, fields, values, sense, rows, best):
             newton = np.linalg.solve(hessian[definite], gradient[:, :, None])[:, :, 0]
             decrement = -0.5 * (gradient * newton).sum(1)
             best = max(best, value.max(initial=-np.inf))
-            done = (decrement <= _REFINE_STOP / 10) | (value + _SETTLE_MARGIN * decrement < best)
+            done = (decrement <= _REFINE_STOP / 10) | (value + decrement < best)
             stop[examined[done]] = True
             examined, value, newton = examined[~done], value[~done], newton[~done]
             if not examined.size:
