@@ -232,36 +232,64 @@ class TestPattern:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 32])
     @pytest.mark.parametrize("blocks", ["short", "one-row tail"])
-    def test_streamed_pattern_matches_one_table_bit_for_bit(self, n, blocks):
-        # pattern streams its phases in the kernel's blocks; the one-table
-        # route hands the kernel every phase at once.  step - 1 samples fit in
-        # one block; 2 * step + 1 end in a one-row block, which the kernel sums
-        # on its own rule.
-        step = max(1, interference._KERNEL_BLOCK // (n * (n - 1) // 2))
+    def test_streamed_pattern_matches_one_table_bit_for_bit(self, n, blocks, monkeypatch):
+        # pattern streams blocks of N phase values and their pair terms; the
+        # one-table route hands the kernel every phase at once.  step - 1
+        # samples fit in one block; 2 * step + 1 end in a one-row block, which
+        # the kernel sums on its own rule.
+        step = max(1, interference._KERNEL_BLOCK // (n * (n - 1) // 2 + n))
         samples = {"short": step - 1, "one-row tail": 2 * step + 1}[blocks]
         rng = np.random.default_rng(300 + n)
         rho = random_density(rng, n)
         geometry = DetectionGeometry(np.sort(rng.uniform(-2e-5, 2e-5, n)), rng.uniform(0.5, 2.0), rng.uniform(4e-7, 7e-7))
+        kernel, rows = interference._intensity_given_phases, []
+
+        def counted(base, pairs, phases):
+            rows.append(len(phases))
+            return kernel(base, pairs, phases)
+
+        monkeypatch.setattr(interference, "_intensity_given_phases", counted)
         result = pattern(rho, geometry, -0.05, 0.05, samples)
+        assert rows == {"short": [step - 1], "one-row tail": [step, step, 1]}[blocks]
         table = interference._path_phases(geometry, result.positions)
-        whole = interference._intensity_given_phases(float(rho.populations.sum()), rho.pairs, table.T)
+        whole = kernel(float(rho.populations.sum()), rho.pairs, table.T)
         assert result.intensities.tobytes() == whole.tobytes()
 
     def test_pattern_memory_grows_with_samples_only(self):
-        # Positions, values and IntensityPattern's read-only copies of both
-        # take 4 * 8 bytes per sample; the phases add a few kernel blocks at
-        # most, not N * 8 bytes per sample.
-        samples, rng = 100_000, np.random.default_rng(308)
-        rho = random_density(rng, 8)
-        geometry = DetectionGeometry(np.sort(rng.uniform(-2e-5, 2e-5, 8)), 1.0, 5e-7)
-        pattern(rho, geometry, -0.05, 0.05, 11)
-        tracemalloc.start()
-        try:
-            pattern(rho, geometry, -0.05, 0.05, samples)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * 8 * samples + 4 * 8 * interference._KERNEL_BLOCK, peak
+        # The positions and intensities take 2 * 8 bytes per sample, handed to
+        # IntensityPattern uncopied; the phases and pair terms add one kernel
+        # block, not N * 8 bytes per sample.
+        samples = 100_000
+        for n in (2, 8):
+            rng = np.random.default_rng(300 + n)
+            rho = random_density(rng, n)
+            geometry = DetectionGeometry(np.sort(rng.uniform(-2e-5, 2e-5, n)), 1.0, 5e-7)
+            pattern(rho, geometry, -0.05, 0.05, 11)
+            tracemalloc.start()
+            try:
+                pattern(rho, geometry, -0.05, 0.05, samples)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 8 * samples + 3 * 8 * interference._KERNEL_BLOCK, (n, peak)
+
+    def test_pattern_arrays_are_read_only_and_not_shared_with_a_caller(self):
+        result = pattern(mix(equal_model(2, 0.5)), TWO_SLIT, -0.05, 0.05, 11)
+        assert not result.positions.flags.writeable and not result.intensities.flags.writeable
+
+        def frozen_view(array):
+            view = array[:]
+            view.setflags(write=False)
+            return view
+
+        # The caller can still write through a writable array, and to the
+        # array under a read-only view, so IntensityPattern must copy both.
+        for given in (lambda array: array, frozen_view):
+            positions, intensities = np.linspace(0.0, 1.0, 5), np.full(5, 0.5)
+            held = IntensityPattern(given(positions), given(intensities), TWO_SLIT)
+            positions[1], intensities[2] = 0.1, 0.7
+            assert held.positions[1] == 0.25 and held.intensities[2] == 0.5
+            assert not held.positions.flags.writeable and not held.intensities.flags.writeable
 
     def test_pattern_type_gate_scales_with_source_count(self):
         IntensityPattern(np.array([0.0, 1.0]), np.array([1.0, -1.5 * PSD_TOL]), TWO_SLIT)

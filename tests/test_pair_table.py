@@ -74,9 +74,11 @@ def test_readouts_match_per_pair_loops(n, monkeypatch):
         assert abs(result.sum_g - sum_g) <= tol
 
 
-# 70001 samples span several kernel blocks at every pair count; 274 samples
-# at N = 16 and 67 at N = 32 end in a one-row block (blocks of 273 and 66 rows).
-@pytest.mark.parametrize("n, samples", [(2, 70001), (4, 70001), (16, 274), (32, 67)])
+# 70001 samples span several blocks at every pair count.  pattern streams
+# blocks of 2^15 // (pairs + N) rows: 241 samples at N = 16 and 63 at N = 32 end
+# in a one-row block (blocks of 240 and 62 rows); 274 and 67 end one row past
+# the kernel's own blocks of 2^15 // pairs rows (273 and 66).
+@pytest.mark.parametrize("n, samples", [(2, 70001), (4, 70001), (16, 274), (32, 67), (16, 241), (32, 63)])
 def test_long_pattern_matches_per_pair_loop(n, samples):
     rng = np.random.default_rng(77 + n)
     rho = random_density(rng, n)
