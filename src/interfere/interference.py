@@ -89,9 +89,9 @@ _POLISH_STEPS = 30
 _OPEN_GAP = 1e-9
 _STAGE_CAP = 16
 
-# Terms per block of rows in the batched kernels, so memory stays O(rows):
-# pair terms in the intensity kernel, N phase values plus the pair terms per
-# sample in ``pattern``'s stream, N^2 products per row in the Newton endgame.
+# Terms per block of rows, so memory stays O(rows) where rows are many: N phase
+# values plus the pair terms per sample in ``pattern``'s stream, N^2 products
+# per row in the Newton endgame.  The intensity kernel itself takes one block.
 _KERNEL_BLOCK = 1 << 15
 
 # Most phase values (rows times sources: screen samples, scan starts, sampled
@@ -223,24 +223,19 @@ def _intensity_given_phases(base: float, pairs: PairTable, phases) -> np.ndarray
     """Intensities of an (M, N) phase batch; one length-N vector is M = 1.
 
     Each result is ``base`` plus the pair terms added one at a time in table
-    order, so every caller gets the same bits for the same phases.  Rows go
-    in blocks of ``_KERNEL_BLOCK`` terms; ``sum(0)`` folds a block's pair
-    rows in that order, but numpy sums a one-row block pairwise, so that
-    one takes ``np.add.accumulate``.
+    order, so every caller gets the same bits for the same phases.  Callers
+    bound M, so the batch is one block; ``sum(0)`` folds its pair rows in
+    that order, but numpy sums a one-row batch pairwise, so that one takes
+    ``np.add.accumulate``.
     """
     columns = np.atleast_2d(phases).T
-    step = _block_rows(pairs.i.shape[0])
-    total = np.empty(columns.shape[1])
-    for start in range(0, columns.shape[1], step):
-        block = columns[:, start:start + step]
-        terms = block.take(pairs.i, 0)
-        terms -= block.take(pairs.j, 0)
-        terms += pairs.arg[:, None]
-        np.cos(terms, out=terms)
-        terms *= 2.0 * pairs.modulus[:, None]
-        terms[0] = base + terms[0]
-        total[start:start + step] = terms.sum(0) if block.shape[1] > 1 else np.add.accumulate(terms)[-1]
-    return total
+    terms = columns.take(pairs.i, 0)
+    terms -= columns.take(pairs.j, 0)
+    terms += pairs.arg[:, None]
+    np.cos(terms, out=terms)
+    terms *= 2.0 * pairs.modulus[:, None]
+    terms[0] = base + terms[0]
+    return terms.sum(0) if columns.shape[1] > 1 else np.add.accumulate(terms)[-1]
 
 
 def intensity(rho, phases, k=None) -> float:
@@ -295,8 +290,8 @@ def pattern(rho, geometry: DetectionGeometry, x_min: float, x_max: float, sample
     if not (math.isfinite(x_max - x_min) and np.isfinite(ends).all()):
         raise DomainError(f"screen interval [{x_min!r}, {x_max!r}] overflows the sample spacing or the phases")
     # linspace returns a view: positions are frozen by a copy before values exist.  No
-    # (N, samples) table: a block's N phases and pair terms fit one kernel block, so a
-    # one-row tail is summed by the kernel's own rule; the kernel transposes back.
+    # (N, samples) table: the kernel takes one block of samples at a time, whose N
+    # phases and pair terms fit _KERNEL_BLOCK; it transposes the block back.
     positions, values = _readonly(np.linspace(x_min, x_max, samples), float), np.empty(samples)
     base, step = float(rho.populations.sum()), _block_rows(rho.pairs.i.shape[0] + geometry.n)
     for start in range(0, samples, step):
@@ -319,7 +314,7 @@ def _descend(entries, fields, values, sense, going, sweeps):
     part so a subnormal ``|w|`` cannot overflow.  A row stops once a sweep
     raises its value by no more than ``_REFINE_STOP``; returns the mask of
     rows still going.  :func:`_scan_extrema` holds the sweep schedule and
-    the ``_MAX_SWEEPS`` cap, and reads the intensity at ``phi = -arg v``.
+    the ``_MAX_SWEEPS`` cap, and reads the extrema from ``fields``.
     """
     coef = 2.0 * (entries - np.diag(entries.diagonal()))
     updates = list(enumerate(coef))[1:]
@@ -484,8 +479,9 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     the row sits at a local extremum.  It is neither polished nor bounded
     again until a row overtakes that best by more than ``_OPEN_GAP``; then
     the new best row is examined as above.  Meanwhile its rows also stop on
-    :func:`_settle`'s Newton test, run after each stage.  Each row's value
-    is the kernel's at ``phi = -arg v``.
+    :func:`_settle`'s Newton test, run after each stage.  A row reads
+    ``base + Re(v^H (rho - diag rho) v)`` with ``base`` the populations'
+    exact sum, so a field off unit modulus by rounding moves only pair terms.
     """
     n = int(rho.n)
     base = float(rho.populations.sum())
@@ -493,12 +489,13 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
         # One free phase sweeps the one pair term through its whole range.
         swing = 2.0 * float(rho.pairs.modulus[0])
         return base + swing, base - swing, base + swing, base - swing
-    # The intensity is v^H rho v with v = exp(-i phi): the phases of the top
-    # and bottom eigenvectors start next to the maximum and the minimum.
+    # The intensity is v^H rho v with v = exp(-i phi): the top and bottom eigenvectors'
+    # phases (math.atan2: the same bits on every SIMD path) start next to the extrema.
     vectors = np.linalg.eigh(rho.entries)[1][:, [-1, 0]].T
     count = settings.starts + 3
     seeded = np.zeros((count, n))
-    seeded[1:3] = np.angle(vectors[:, :1]) - np.angle(vectors)
+    angles = np.array([[math.atan2(z.imag, z.real) for z in vector] for vector in vectors.tolist()])
+    seeded[1:3] = angles[:, :1] - angles
     seeded[3:, 1:] = np.random.default_rng(settings.seed).uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
     sense = np.repeat([1.0, -1.0], count)
     fields = np.exp(-1j * np.concatenate([seeded, seeded])).T.copy()
@@ -537,7 +534,8 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
                 opened[k] = slope <= noise and bounds[k] - tried[k] > _OPEN_GAP
             if bounds[k] - tried[k] <= _CERTIFIED_GAP:
                 going[own] = False
-    reached = _intensity_given_phases(base, rho.pairs, -np.angle(fields.T))
+    off = rho.entries - np.diag(rho.entries.diagonal())
+    reached = base + (fields.conj() * (off @ fields)).real.sum(0)
     return float(reached[:count].max()), float(reached[count:].min()), bounds[0], -bounds[1]
 
 

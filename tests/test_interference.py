@@ -418,6 +418,23 @@ class TestVisibility:
             with pytest.raises(DomainError, match="pattern values"):
                 visibility(rho, ScanSettings(starts=starts))
 
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_scan_reads_no_angle(self, monkeypatch, n):
+        # The scan reads its extrema from the unit fields it holds: numpy's
+        # AVX-512 arctan2 differs from glibc's, so a phase read back with
+        # np.angle would move the bits from host to host.
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        rho = random_density(np.random.default_rng(4200 + n), n)
+        monkeypatch.setattr(np, "angle", reached)
+        monkeypatch.setattr(interference, "_intensity_given_phases", reached)
+        result = visibility(rho)
+        assert result.i_min_lower <= result.i_min < result.i_max <= result.i_max_upper, result
+
     def test_deterministic_above_grid_regime(self):
         rng = np.random.default_rng(37)
         rho = random_density(rng, 5)

@@ -18,9 +18,14 @@ The output keeps the schema of ``BENCH_20.json``: the two commits with their
 line counts under ``src/``, and per workload a summary (quartiles per side,
 the pairs where the change is better, the median ratio, failed ops and
 correctness) above every pair's last output line.  Quartiles are numpy's
-default (``statistics.quantiles`` with the inclusive method).  The script
-exits 1 when any run is not ``correct: true`` or gave no result, 0 otherwise.
-Standard library only.
+default (``statistics.quantiles`` with the inclusive method).  A ``host`` key
+beside ``about`` names what moves bits and speed on this machine: numpy's
+version, the SIMD targets it found (as ``numpy.show_runtime`` lists them) and
+any ``NPY_DISABLE_CPU_FEATURES`` or ``OPENBLAS_CORETYPE`` in the environment.
+The OpenBLAS core itself is not recorded: reading it needs ``threadpoolctl``,
+which is not a dependency.  The script exits 1 when any run is not
+``correct: true`` or gave no result, 0 otherwise.  Standard library only; numpy
+is read in a child process.
 """
 
 import argparse
@@ -37,6 +42,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+HOST_ENV = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
+SIMD_PROBE = """
+import json, numpy
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+print(json.dumps({"numpy": numpy.__version__, "simd_found": [f for f in __cpu_dispatch__ if __cpu_features__[f]]}))
+"""
 
 
 def git(*args) -> bytes:
@@ -49,6 +60,12 @@ def export(rev: str, into: Path) -> dict:
         tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     lines = sum(len(path.read_bytes().splitlines()) for path in sorted((into / "src").rglob("*.py")))
     return {"sha": git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip(), "src_lines": lines}
+
+
+def host() -> dict:
+    """numpy's version and SIMD targets found, and the environment that steers them."""
+    found = json.loads(subprocess.run([sys.executable, "-c", SIMD_PROBE], check=True, capture_output=True).stdout)
+    return {**found, "env": {name: os.environ[name] for name in HOST_ENV if name in os.environ}}
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, int]:
@@ -105,6 +122,7 @@ def main(argv=None) -> int:
         except ValueError:
             parser.error(f"--workload {spec!r} is not NAME:PAIRS[:SEED]")
 
+    machine = host()
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(rev, trees[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
@@ -133,7 +151,7 @@ def main(argv=None) -> int:
         f"the parent first) by tools/bench_pair.py on {os.cpu_count()} CPUs, Python {platform.python_version()}. "
         "Both sides ran from git-archive copies of their commits, so their meta lines print git_sha unknown."
     )
-    report = {"about": f"{args.about} {about}".strip(), **commits, "workloads": workloads}
+    report = {"about": f"{args.about} {about}".strip(), "host": machine, **commits, "workloads": workloads}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     ok = all(w["summary"]["correct"][side] for w in workloads for side in SIDES)
     print(f"wrote {args.out}; every run correct: {ok}")
