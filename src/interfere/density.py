@@ -30,27 +30,31 @@ from .core import (
 def rho_indistinguishable(amplitudes: Amplitudes) -> DensityMatrix:
     """Density matrix of the pure superposition: the outer product of the
     amplitude vector with itself.  Rank one, unit trace."""
-    a = amplitudes.values
-    return DensityMatrix(np.outer(a, a.conj()))
+    return mix(EmissionModel(amplitudes, 1.0))
 
 
 def rho_distinguishable(amplitudes: Amplitudes) -> DensityMatrix:
     """Density matrix of the fully which-path-marked photon: the diagonal
     mixture carrying the same emission probabilities and no coherence."""
-    return DensityMatrix(np.diag(amplitudes.probabilities.astype(complex)))
+    return mix(EmissionModel(amplitudes, 0.0))
 
 
 def mix(model: EmissionModel) -> DensityMatrix:
     """Convex combination of the two extremes with weight ``model.p_id`` on
     the coherent part.
 
-    Diagonal entries are the emission probabilities ``|alpha_i|**2``;
-    off-diagonals are ``p_id * alpha_i * conj(alpha_j)``.
+    Diagonal entries are the emission probabilities, exactly
+    ``p_id |alpha_i|**2 + (1 - p_id) |alpha_i|**2`` with no imaginary part;
+    off-diagonals are ``p_id * alpha_i * conj(alpha_j)``.  Every entry is
+    built from real products of the parts of ``alpha``, which no SIMD path
+    fuses, so its bits do not depend on the CPU.
     """
     a = model.amplitudes.values
     p = model.p_id
-    coherent = np.outer(a, a.conj())
-    incoherent = np.diag(np.abs(a) ** 2).astype(complex)
+    cross = np.outer(a.imag, a.real)
+    real = np.outer(a.real, a.real) + np.outer(a.imag, a.imag)
+    coherent = real + 1j * (cross - cross.T)
+    incoherent = np.diag(real.diagonal())
     return DensityMatrix(p * coherent + (1.0 - p) * incoherent)
 
 

@@ -23,17 +23,18 @@ neither is silently preferred.
 
 Each scanned extremum comes with a proof of how far it can be from the
 true one: the weak-duality bound of the SDP relaxation (So, Zhang & Ye,
-Math. Program. 2007) at the multipliers of its best row, sharpened by a
-Newton polish of that row in place.  ``i_max_upper`` and ``i_min_lower``
-bound the true extrema, and an extremum is certified when its interval is
-at most 1e-12 wide; the descent for it stops there.  For three sources the
-relaxation is exact (Huang & Zhang, Math. Oper. Res. 2007); beyond that it
-can leave a gap of its own, which the flag then shows.  An extremum is
-open when more than 1e-9 of gap is left once the polish has converged: the
-relaxation's own gap, or a best row at a local extremum.  Until a row
-overtakes that best by more than 1e-9, it is not bounded again, and each
-of its rows stops on a Newton test once it sits at its own extremum or
-cannot overtake the best row.  Each descent stage runs at most 16 sweeps.
+Math. Program. 2007) at the multipliers of its best row, taken once a
+Newton polish has stepped that row in place.  ``i_max_upper`` and
+``i_min_lower`` bound the true extrema, and an extremum is certified when
+its interval is at most 1e-12 wide; the descent for it stops there.  For
+three sources the relaxation is exact (Huang & Zhang, Math. Oper. Res.
+2007); beyond that it can leave a gap of its own, which the flag then
+shows.  An extremum is open when more than 1e-9 of gap is left once the
+polish has converged: the relaxation's own gap, or a best row at a local
+extremum.  Until a row overtakes that best by more than 1e-9, it is not
+examined again, and each of its rows stops on a Newton test once it sits
+at its own extremum or cannot overtake the best row.  Each descent stage
+runs at most 16 sweeps.
 
 Complex off-diagonals
 ---------------------
@@ -70,7 +71,7 @@ DEFAULT_SCAN_SEED = 1905
 # objective by no more than _REFINE_STOP, or after _MAX_SWEEPS.  That bounds
 # one sweep's gain, not the distance to the extremum.  The distance is a
 # duality bound, taken by the scan at the end of each stage on each
-# extremum's best row (from sweep 4 on, also while that row still runs); an
+# extremum's best row once polished (from sweep 4 on, also while it runs); an
 # extremum is certified when the bound is within _CERTIFIED_GAP of the value,
 # and its rows then stop.
 _REFINE_STOP = 1e-12
@@ -467,18 +468,18 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     Returns ``(i_max, i_min, i_max_upper, i_min_lower)``: the extrema found
     and duality bounds on the true ones.  One loop runs the descent in
     stages up to sweeps 1, 2, 4, ..., 32, then in stages of ``_STAGE_CAP``
-    sweeps, whatever is open, up to ``_MAX_SWEEPS``, after which every row
-    counts as stopped.  After each stage, it bounds each extremum's best row
-    (from sweep 4 on, also while it is still going; before, only once it has
-    stopped) by its own multipliers and, if that leaves a gap above
-    ``_CERTIFIED_GAP``, polishes the row in place with :func:`_polish` and
-    bounds it again at the polished field.  Once the row is proven, no other
-    row can beat it by more than the gap, and the extremum's rows stop.  An
-    extremum whose polish converges and still leaves the bound more than
-    ``_OPEN_GAP`` above it is open: the relaxation leaves a gap there, or
-    the row sits at a local extremum.  It is neither polished nor bounded
-    again until a row overtakes that best by more than ``_OPEN_GAP``; then
-    the new best row is examined as above.  Meanwhile its rows also stop on
+    sweeps, whatever is open, until no row is going or ``_MAX_SWEEPS`` is
+    reached.  After each stage, it examines each extremum's best row that
+    has improved (from sweep 4 on, also while it is still going; before,
+    only once it has stopped) one way: :func:`_polish` steps it in place,
+    then :func:`_dual_bound` bounds it at the polished field by its own
+    multipliers.  Once the row is proven within ``_CERTIFIED_GAP``, no
+    other row can beat it by more than the gap, and the extremum's rows
+    stop.  An extremum whose polish converges and still leaves the bound
+    more than ``_OPEN_GAP`` above it is open: the relaxation leaves a gap
+    there, or the row sits at a local extremum.  It is not examined again
+    until a row overtakes that best by more than ``_OPEN_GAP``; then the
+    new best row is examined as above.  Meanwhile its rows also stop on
     :func:`_settle`'s Newton test, run after each stage.  A row reads
     ``base + Re(v^H (rho - diag rho) v)`` with ``base`` the populations'
     exact sum, so a field off unit modulus by rounding moves only pair terms.
@@ -505,13 +506,11 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     tried, bounds, opened = [-np.inf] * 2, [np.inf] * 2, [False] * 2
     noise = n * np.finfo(float).eps * np.abs(rho.entries).sum()  # rounding of v^H rho v
     swept, going = 0, np.ones(values.shape, bool)
-    while going.any():
+    while going.any() and swept < _MAX_SWEEPS:
         # Stages of 1, 1, 2, 4, 8 and 16 sweeps, then of _STAGE_CAP up to _MAX_SWEEPS.
         stage = min(max(swept, 1), _STAGE_CAP, _MAX_SWEEPS - swept)
         going = _descend(rho.entries, fields, values, sense, going, stage)
         swept += stage
-        if swept == _MAX_SWEEPS:
-            going[:] = False
         for k, s in enumerate((1.0, -1.0)):
             own = slice(k * count, (k + 1) * count)
             if opened[k]:
@@ -524,14 +523,10 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
             opened[k] = opened[k] and s * values[best] <= tried[k] + _OPEN_GAP
             if opened[k] or (going[best] and swept < 4) or s * values[best] <= tried[k]:
                 continue
+            slope = _polish(rho.entries, fields, values, s, best, noise)
             tried[k] = s * values[best]
-            if bounds[k] - tried[k] > _CERTIFIED_GAP:
-                bounds[k] = min(bounds[k], _dual_bound(rho.entries, fields[:, best], s))
-            if bounds[k] - tried[k] > _CERTIFIED_GAP:
-                slope = _polish(rho.entries, fields, values, s, best, noise)
-                tried[k] = s * values[best]
-                bounds[k] = min(bounds[k], _dual_bound(rho.entries, fields[:, best], s))
-                opened[k] = slope <= noise and bounds[k] - tried[k] > _OPEN_GAP
+            bounds[k] = min(bounds[k], _dual_bound(rho.entries, fields[:, best], s))
+            opened[k] = slope <= noise and bounds[k] - tried[k] > _OPEN_GAP
             if bounds[k] - tried[k] <= _CERTIFIED_GAP:
                 going[own] = False
     off = rho.entries - np.diag(rho.entries.diagonal())

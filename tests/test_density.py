@@ -1,5 +1,10 @@
 """Decomposition construction and the pairwise readout of the coherent weight."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,7 @@ from interfere import (
 )
 
 from helpers import equal_model, random_model
+from test_certificate import _seed_109_state
 
 # Real symmetric, unit trace, PSD, but the three pairwise readings disagree.
 INCONSISTENT = np.array(
@@ -26,6 +32,18 @@ INCONSISTENT = np.array(
     ],
     dtype=complex,
 )
+
+# Reads [(amplitude bytes as hex, p_id), ...] as JSON and prints, per case, the
+# entry bytes of mix and of both extremes.
+FAMILY_BYTES = """
+import json, sys
+import numpy as np
+from interfere import Amplitudes, EmissionModel, mix, rho_distinguishable, rho_indistinguishable
+for values, p in json.load(sys.stdin):
+    a = Amplitudes(np.frombuffer(bytes.fromhex(values), complex))
+    rhos = mix(EmissionModel(a, p)), rho_indistinguishable(a), rho_distinguishable(a)
+    print(*(rho.entries.tobytes().hex() for rho in rhos))
+"""
 
 
 class TestRhoIndistinguishable:
@@ -78,6 +96,30 @@ class TestMix:
         np.testing.assert_allclose(np.diag(rho.entries), 1 / 3, atol=1e-15)
         off = rho.entries[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, 1 / 6, atol=1e-15)
+
+    def test_same_bytes_on_the_sse_path(self):
+        # A child on numpy's SSE path, where complex products are not fused,
+        # must build the bytes this process builds: mix takes real products only.
+        models = [random_model(np.random.default_rng(n), n, p) for n in (3, 5, 8) for p in (0.0, 0.3, 0.7, 1.0)]
+        models.append(_seed_109_state())
+        cases = [(model.amplitudes.values.tobytes().hex(), model.p_id) for model in models]
+        child = subprocess.run(
+            [sys.executable, "-c", FAMILY_BYTES],
+            input=json.dumps(cases),
+            capture_output=True,
+            text=True,
+            env={**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
+        )
+        assert child.returncode == 0, child.stderr
+        built = []
+        for model in models:
+            a = model.amplitudes
+            rhos = mix(model), rho_indistinguishable(a), rho_distinguishable(a)
+            built.append(" ".join(rho.entries.tobytes().hex() for rho in rhos))
+            assert not rhos[0].entries.diagonal().imag.any()
+            assert rhos[1].entries.tobytes() == mix(EmissionModel(a, 1.0)).entries.tobytes()
+            assert rhos[2].entries.tobytes() == mix(EmissionModel(a, 0.0)).entries.tobytes()
+        assert child.stdout.splitlines() == built
 
     def test_output_always_valid(self):
         rng = np.random.default_rng(42)

@@ -223,10 +223,37 @@ def test_open_extrema_match_reference(n, monkeypatch):
         assert i_min_lower <= min(i_min, want[1]) and max(i_max, want[0]) <= i_max_upper, (got, want)
 
 
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_every_bound_is_taken_at_a_just_polished_field(n, monkeypatch):
+    # An extremum is examined one way: its best row is polished in place,
+    # then bounded at the very field the polish left.
+    polish, bound, calls = interference._polish, interference._dual_bound, []
+
+    def polished(entries, fields, values, sense, row, noise):
+        slope = polish(entries, fields, values, sense, row, noise)
+        calls.append(("polish", fields[:, row].copy()))
+        return slope
+
+    def bounded(entries, field, sense):
+        calls.append(("bound", field.copy()))
+        return bound(entries, field, sense)
+
+    monkeypatch.setattr(interference, "_polish", polished)
+    monkeypatch.setattr(interference, "_dual_bound", bounded)
+    rng = np.random.default_rng(2700 + n)
+    for make in (random_density, random_density, random_family_state, random_family_state):
+        calls.clear()
+        _scan_extrema(make(rng, n), ScanSettings())
+        kinds = [kind for kind, _ in calls]
+        assert kinds and kinds == ["polish", "bound"] * (len(kinds) // 2), kinds
+        for (_, left), (_, taken) in zip(calls[::2], calls[1::2]):
+            assert np.array_equal(left, taken)
+
+
 @pytest.mark.parametrize("n", sorted(REOPEN_SEEDS))
 def test_overtaken_open_extremum_is_examined_again(n, monkeypatch):
     # The first polish converges at a local extremum, so the extremum opens;
-    # once a row overtakes it, the new best row is bounded and polished, and
+    # once a row overtakes it, the new best row is polished and bounded, and
     # both extrema end certified, which also puts them within 1e-12 of any
     # reference's.
     settle, settled = interference._settle, []
