@@ -29,12 +29,13 @@ Newton polish has stepped that row in place.  ``i_max_upper`` and
 its interval is at most 1e-12 wide; the descent for it stops there.  For
 three sources the relaxation is exact (Huang & Zhang, Math. Oper. Res.
 2007); beyond that it can leave a gap of its own, which the flag then
-shows.  An extremum is open when more than 1e-9 of gap is left once the
-polish has converged: the relaxation's own gap, or a best row at a local
-extremum.  Until a row overtakes that best by more than 1e-9, it is not
-examined again, and each of its rows stops on a Newton test once it sits
-at its own extremum or cannot overtake the best row.  Each descent stage
-runs at most 16 sweeps.
+shows.  The descent runs in stages of 4, 4, 8 and 16 sweeps, then 16
+each; between stages, an extremum's best row is examined again once it
+has gained more than 1e-9 since its last examination.  An extremum is
+open when its polish has converged and left it uncertified: the
+relaxation's own gap, or a best row at a local extremum.  Each of its rows
+then stops on a Newton test once it sits at its own extremum or cannot
+overtake the best row.
 
 Complex off-diagonals
 ---------------------
@@ -71,22 +72,21 @@ DEFAULT_SCAN_SEED = 1905
 # objective by no more than _REFINE_STOP, or after _MAX_SWEEPS.  That bounds
 # one sweep's gain, not the distance to the extremum.  The distance is a
 # duality bound, taken by the scan at the end of each stage on each
-# extremum's best row once polished (from sweep 4 on, also while it runs); an
+# extremum's best row once polished, whether or not that row still runs; an
 # extremum is certified when the bound is within _CERTIFIED_GAP of the value,
 # and its rows then stop.
 _REFINE_STOP = 1e-12
 _MAX_SWEEPS = 500
 _CERTIFIED_GAP = 1e-12
-# Newton steps one polish or one settling pass may take; a degenerate
-# extremum converges linearly.
+# Newton steps one polish may take; a degenerate extremum converges linearly.
 _POLISH_STEPS = 30
-# An extremum is open when the bound stays more than _OPEN_GAP above its
-# best row once a Newton polish, in place on that row, has converged: the SDP
-# relaxation leaves a gap there, or the row sits at a local extremum.  It is
-# examined again once a row overtakes that best by more than _OPEN_GAP.
-# Meanwhile its rows also stop on a Newton test: at their own extremum, or
-# unable to reach the best row even with the gain their quadratic model
-# predicts.  Every stage runs at most _STAGE_CAP sweeps.
+# An extremum's best row is examined again only once it has gained more than
+# _OPEN_GAP since its last examination.  The extremum is open when a Newton
+# polish, in place on that row, has converged and left it uncertified: the SDP
+# relaxation leaves a gap there, or the row sits at a local extremum.  Its
+# rows then also stop on a Newton test: at their own extremum, or unable to
+# reach the best row even with the gain their quadratic model predicts.
+# Every stage runs at most _STAGE_CAP sweeps.
 _OPEN_GAP = 1e-9
 _STAGE_CAP = 16
 
@@ -423,8 +423,8 @@ def _settle(entries, fields, values, sense, rows, best):
     """Newton endgame for the rows ``rows`` of an open extremum; returns the mask of rows that stop.
 
     ``best`` is the extremum's best value so far, in units of ``sense *
-    v^H rho v``.  Each pass evaluates every row still examined in one batch:
-    a row whose Hessian is not definite goes back to the sweeps.  At a
+    v^H rho v``.  One pass evaluates the rows in batches: a row whose
+    Hessian is not definite goes back to the sweeps.  At a
     definite one, the Newton decrement ``delta = -g^T H^-1 g / 2`` is what a
     Newton step would gain on the quadratic model; a row stops if even
     ``delta`` above its value trails ``best``, the model's own test that it
@@ -441,24 +441,20 @@ def _settle(entries, fields, values, sense, rows, best):
     block = _block_rows(m.size)
     for first in range(0, len(rows), block):
         examined = np.arange(first, min(first + block, len(rows)))
-        for _ in range(_POLISH_STEPS):
-            value, gradient, hessian = _torus_derivatives(m, fields[:, rows[examined]])
-            curvature = np.linalg.eigvalsh(hessian)
-            definite = curvature[:, -1] < -flat * np.abs(curvature).max(1)
-            examined, value, gradient = examined[definite], value[definite], gradient[definite]
-            newton = np.linalg.solve(hessian[definite], gradient[:, :, None])[:, :, 0]
-            decrement = -0.5 * (gradient * newton).sum(1)
-            best = max(best, value.max(initial=-np.inf))
-            done = (decrement <= _REFINE_STOP / 10) | (value + decrement < best)
-            stop[examined[done]] = True
-            examined, value, newton = examined[~done], value[~done], newton[~done]
-            if not examined.size:
-                break
-            trial = fields[:, rows[examined]] * np.vstack([np.ones(len(examined)), np.exp(1j * newton.T)])
-            reached = (trial.conj() * (entries @ trial)).real.sum(0)
-            raised = sense * reached >= value
-            examined = examined[raised]
-            fields[:, rows[examined]], values[rows[examined]] = trial[:, raised], reached[raised]
+        value, gradient, hessian = _torus_derivatives(m, fields[:, rows[examined]])
+        curvature = np.linalg.eigvalsh(hessian)
+        definite = curvature[:, -1] < -flat * np.abs(curvature).max(1)
+        examined, value, gradient = examined[definite], value[definite], gradient[definite]
+        newton = np.linalg.solve(hessian[definite], gradient[:, :, None])[:, :, 0]
+        decrement = -0.5 * (gradient * newton).sum(1)
+        done = (decrement <= _REFINE_STOP / 10) | (value + decrement < best)
+        stop[examined[done]] = True
+        examined, value, newton = examined[~done], value[~done], newton[~done]
+        trial = fields[:, rows[examined]] * np.vstack([np.ones(len(examined)), np.exp(1j * newton.T)])
+        reached = (trial.conj() * (entries @ trial)).real.sum(0)
+        raised = sense * reached >= value
+        examined = examined[raised]
+        fields[:, rows[examined]], values[rows[examined]] = trial[:, raised], reached[raised]
     return stop
 
 
@@ -467,20 +463,18 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
 
     Returns ``(i_max, i_min, i_max_upper, i_min_lower)``: the extrema found
     and duality bounds on the true ones.  One loop runs the descent in
-    stages up to sweeps 1, 2, 4, ..., 32, then in stages of ``_STAGE_CAP``
-    sweeps, whatever is open, until no row is going or ``_MAX_SWEEPS`` is
-    reached.  After each stage, it examines each extremum's best row that
-    has improved (from sweep 4 on, also while it is still going; before,
-    only once it has stopped) one way: :func:`_polish` steps it in place,
+    stages of 4, 4, 8 and 16 sweeps, then of ``_STAGE_CAP`` sweeps, until
+    no row is going or ``_MAX_SWEEPS`` is reached.  After each stage, it
+    examines each extremum's best row, whether or not it is still going,
+    once it has gained more than ``_OPEN_GAP`` since the last examination
+    (the first always runs), one way: :func:`_polish` steps it in place,
     then :func:`_dual_bound` bounds it at the polished field by its own
     multipliers.  Once the row is proven within ``_CERTIFIED_GAP``, no
     other row can beat it by more than the gap, and the extremum's rows
-    stop.  An extremum whose polish converges and still leaves the bound
-    more than ``_OPEN_GAP`` above it is open: the relaxation leaves a gap
-    there, or the row sits at a local extremum.  It is not examined again
-    until a row overtakes that best by more than ``_OPEN_GAP``; then the
-    new best row is examined as above.  Meanwhile its rows also stop on
-    :func:`_settle`'s Newton test, run after each stage.  A row reads
+    stop.  An extremum whose polish converges and leaves it uncertified is
+    open: the relaxation leaves a gap there, or the row sits at a local
+    extremum.  Its rows then also stop on :func:`_settle`'s Newton test,
+    one pass after each stage.  A row reads
     ``base + Re(v^H (rho - diag rho) v)`` with ``base`` the populations'
     exact sum, so a field off unit modulus by rounding moves only pair terms.
     """
@@ -507,8 +501,8 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     noise = n * np.finfo(float).eps * np.abs(rho.entries).sum()  # rounding of v^H rho v
     swept, going = 0, np.ones(values.shape, bool)
     while going.any() and swept < _MAX_SWEEPS:
-        # Stages of 1, 1, 2, 4, 8 and 16 sweeps, then of _STAGE_CAP up to _MAX_SWEEPS.
-        stage = min(max(swept, 1), _STAGE_CAP, _MAX_SWEEPS - swept)
+        # Stages of 4, 4, 8 and 16 sweeps, then of _STAGE_CAP up to _MAX_SWEEPS.
+        stage = min(max(swept, 4), _STAGE_CAP, _MAX_SWEEPS - swept)
         going = _descend(rho.entries, fields, values, sense, going, stage)
         swept += stage
         for k, s in enumerate((1.0, -1.0)):
@@ -518,15 +512,12 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
                 stop = _settle(rho.entries, fields, values, s, rows, float((s * values[own]).max()))
                 going[rows[stop]] = False
             best = k * count + int(np.argmax(s * values[own]))
-            # An open extremum is examined again only once a row has overtaken
-            # its polished best by more than _OPEN_GAP: a local extremum.
-            opened[k] = opened[k] and s * values[best] <= tried[k] + _OPEN_GAP
-            if opened[k] or (going[best] and swept < 4) or s * values[best] <= tried[k]:
+            if s * values[best] <= tried[k] + _OPEN_GAP:
                 continue
             slope = _polish(rho.entries, fields, values, s, best, noise)
             tried[k] = s * values[best]
             bounds[k] = min(bounds[k], _dual_bound(rho.entries, fields[:, best], s))
-            opened[k] = slope <= noise and bounds[k] - tried[k] > _OPEN_GAP
+            opened[k] = slope <= noise and bounds[k] - tried[k] > _CERTIFIED_GAP
             if bounds[k] - tried[k] <= _CERTIFIED_GAP:
                 going[own] = False
     off = rho.entries - np.diag(rho.entries.diagonal())

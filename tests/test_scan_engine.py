@@ -71,15 +71,15 @@ SMALL_N = tuple(range(2, 9))
 MANY_N = (12, 16)
 DEFAULT_N = (2, 3, 4, 5, 8)
 # Per source count, which of the general states drawn in sequence leave an
-# extremum open: the SDP relaxation's own gap, over 1e-9.  In the second
-# of each pair a trailing row overtakes the best later: stopping every row
-# with a definite Hessian at its first Newton test would lose 1e-5 at
-# N = 6 and 1.4e-6 at N = 8.
+# extremum open, uncertified after a converged polish: the SDP relaxation's
+# own gap.  In the second of each pair a trailing row overtakes the best
+# later: stopping every row with a definite Hessian at its first Newton test
+# would lose 1e-5 at N = 6 and 1.4e-6 at N = 8.
 OPEN_DRAWS = {6: (7, 191), 8: (4, 150)}
 # Real states ``B B^T`` (seeded ``100 * seed + n``) whose first converged
-# polish sits at a local extremum and leaves an extremum open; a row later
-# overtakes it, and at the true extremum the relaxation is exact.
-REOPEN_SEEDS = {4: 69, 5: 23, 6: 41}
+# polish sits at a local extremum and leaves it uncertified, so open; a row
+# later overtakes it, and at the true extremum the relaxation is exact.
+REOPEN_SEEDS = {4: 186, 5: 46, 6: 30}
 
 
 def grid_states(n):
@@ -263,6 +263,50 @@ def test_overtaken_open_extremum_is_examined_again(n, monkeypatch):
     assert settled, "no extremum was open"
     i_max, i_min, i_max_upper, i_min_lower = got
     assert i_max_upper - i_max <= TOL and i_min - i_min_lower <= TOL, got
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_no_extremum_is_examined_before_sweep_four(n, monkeypatch):
+    # Stages start at four sweeps, and an extremum is examined only between
+    # stages, so no polish runs before every row has had four sweeps.
+    descend, polish, calls = interference._descend, interference._polish, []
+    monkeypatch.setattr(interference, "_descend", lambda *args: calls.append(args[-1]) or descend(*args))
+    monkeypatch.setattr(interference, "_polish", lambda *args: calls.append("polish") or polish(*args))
+    rng = np.random.default_rng(2800 + n)
+    for make in (random_density, random_family_state, _real_family, _one_coherent_pair):
+        calls.clear()
+        _scan_extrema(make(rng, n), ScanSettings())
+        assert calls[0] == 4, calls
+        first = calls.index("polish")
+        assert sum(calls[:first]) >= 4, calls
+
+
+def test_only_a_converged_polish_opens_an_extremum(monkeypatch):
+    # An extremum settles only after its last polish converged: at N = 24,
+    # settling rows against a best row that is still moving stops rows that
+    # would have found a lower minimum.
+    polish, settle, calls = interference._polish, interference._settle, []
+
+    def polished(entries, fields, values, sense, row, noise):
+        slope = polish(entries, fields, values, sense, row, noise)
+        calls.append(("polish", sense, slope <= noise))
+        return slope
+
+    monkeypatch.setattr(interference, "_polish", polished)
+    monkeypatch.setattr(interference, "_settle", lambda *args: calls.append(("settle", args[3])) or settle(*args))
+    rng = np.random.default_rng(4024)
+    a = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
+    rho = a @ a.conj().T
+    i_max, i_min, i_max_upper, i_min_lower = _scan_extrema(DensityMatrix(rho / np.trace(rho).real), ScanSettings())
+    converged = {}
+    for call in calls:
+        if call[0] == "polish":
+            converged[call[1]] = call[2]
+        else:
+            assert converged.get(call[1]), calls
+    assert any(call[0] == "settle" for call in calls), calls
+    assert i_min <= 0.061646192933567 + TOL, i_min
+    assert i_min_lower <= i_min <= i_max <= i_max_upper
 
 
 def test_settle_memory_is_bounded_by_the_block(monkeypatch):
