@@ -423,9 +423,9 @@ def _settle(entries, fields, values, sense, rows, best):
     """Newton endgame for the rows ``rows`` of an open extremum; returns the mask of rows that stop.
 
     ``best`` is the extremum's best value so far, in units of ``sense *
-    v^H rho v``.  One pass evaluates the rows in batches: a row whose
-    Hessian is not definite goes back to the sweeps.  At a
-    definite one, the Newton decrement ``delta = -g^T H^-1 g / 2`` is what a
+    v^H rho v``.  One pass evaluates every row once, in batches: a row
+    whose Hessian is not definite goes back to the sweeps.  At a definite
+    one, the Newton decrement ``delta = -g^T H^-1 g / 2`` is what a
     Newton step would gain on the quadratic model; a row stops if even
     ``delta`` above its value trails ``best``, the model's own test that it
     cannot overtake the best row, or if ``delta`` is at most

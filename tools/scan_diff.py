@@ -11,17 +11,20 @@ Each side is exported with ``git archive`` into its own temporary directory
 The same child draws a seeded set of 2880 more: normalized ``A A^H`` with
 complex Gaussian ``A``, the same with ``A`` of rank 1, 2 and 3, real
 ``B B^T``, and family states from ``mix``, at N = 4, 5, 6 and 8, 120 of
-each.  Then each side runs ``visibility`` with default settings on every
-state in a child process of its own.  That child wraps ``numpy.linalg``'s
-``eigh``, ``eigvalsh`` and ``solve`` (not the library) and counts the
-matrices that go through them during the calls.
+each.  A third, large-N set holds, per N in 12, 16, 24 and 32, 8 normalized
+``A A^H`` and 4 family states drawn from ``default_rng([7, N])``: 48 states
+where the scan runs long.  Then each side runs ``visibility`` with default
+settings on every state in a child process of its own.  That child wraps
+``numpy.linalg``'s ``eigh``, ``eigvalsh`` and ``solve`` (not the library)
+and counts the matrices that go through them during the calls.
 
 Per set of states it prints the worst extremum loss (how much lower the
 change's maximum, or higher its minimum, is than the parent's), the
 certified flags lost and gained, how many results are bit-identical, and
-each side's matrix counts.  Exit codes: 0 when no extremum is worse by
-more than 1e-12 and no flag is lost, 1 otherwise, 2 on a usage error or
-when a side cannot run the comparison.  Standard library and numpy only.
+each side's matrix counts, uncertified intervals and their median width.
+Exit codes: 0 when no extremum is worse by more than 1e-12 and no flag is
+lost in any set, 1 otherwise, 2 on a usage error or when a side cannot run
+the comparison.  Standard library and numpy only.
 """
 
 import argparse
@@ -42,6 +45,8 @@ WORKLOAD_SEEDS = range(1, 7)
 SEEDED_N = (4, 5, 6, 8)
 SEEDED_COUNT = 120
 SEEDED_KINDS = ("A A^H", "rank 1", "rank 2", "rank 3", "real B B^T", "family")
+LARGE_N = (12, 16, 24, 32)
+LARGE_KINDS = ("A A^H",) * 8 + ("family",) * 4
 COUNTED = ("eigh", "eigvalsh", "solve")
 FIELDS = ("i_max", "i_min", "i_max_upper", "i_min_lower", "max_certified", "min_certified")
 
@@ -63,7 +68,7 @@ def _seeded_entries(kind: str, n: int, rng) -> np.ndarray:
 
 
 def build_states(tree: str, out: str) -> None:
-    """Child process: write the states of both sets to ``out`` (npz), built in ``tree``."""
+    """Child process: write the states of every set to ``out`` (npz), built in ``tree``."""
     sys.path[:0] = [str(Path(tree) / "src"), str(Path(tree) / "perfbench")]
     import workloads
 
@@ -90,6 +95,11 @@ def build_states(tree: str, out: str) -> None:
             for _ in range(SEEDED_COUNT):
                 states.append(_seeded_entries(kind, n, rng))
                 sets.append("seeded")
+    for n in LARGE_N:
+        rng = np.random.default_rng([7, n])
+        for kind in LARGE_KINDS:
+            states.append(_seeded_entries(kind, n, rng))
+            sets.append("large-N")
     np.savez(out, sets=np.array(sets), **{f"state_{i}": entries for i, entries in enumerate(states)})
 
 
@@ -149,9 +159,16 @@ def compare(sets: list, sides: dict) -> tuple[list, bool]:
             f"{label} states ({len(index)}): worst extremum loss {loss[worst]:.3g} (state {index[worst]}), "
             f"flags lost {lost}, gained {gained}, bit-identical {identical} of {len(index)}"
         )
-        for side in SIDES:
+        for side, results in zip(SIDES, (parent, change)):
             counts = sides[side]["counts"][label]
-            lines.append(f"  {side}: " + ", ".join(f"{name} {counts[name]}" for name in COUNTED) + " matrices")
+            # Interval widths: i_max_upper - i_max and i_min - i_min_lower.
+            widths = np.concatenate([results[:, 2] - results[:, 0], results[:, 1] - results[:, 3]])
+            uncertified = widths[results[:, 4:].T.ravel() == 0]
+            median = f"{np.median(uncertified):.3g}" if uncertified.size else "-"
+            lines.append(
+                f"  {side}: " + ", ".join(f"{name} {counts[name]}" for name in COUNTED) + " matrices; "
+                f"uncertified intervals {uncertified.size}, median width {median}"
+            )
         ok = ok and loss[worst] <= LOSS_LIMIT and lost == 0
     return lines, ok
 
