@@ -140,7 +140,8 @@ class ExperimentConfig:
         values = np.array(
             [_complex_pair(entry, f"amplitudes[{idx}]") for idx, entry in enumerate(raw)]
         )
-        total = float(np.sum(np.abs(values) ** 2))
+        with np.errstate(over="ignore"):  # an overflow is inf, which fails the check
+            total = float(np.sum(np.abs(values) ** 2))
         if abs(total - 1.0) > AMPLITUDE_NORM_TOL:
             raise ConfigError(
                 f"amplitudes square-sum to {total!r}, expected 1 within {AMPLITUDE_NORM_TOL}"

@@ -15,27 +15,35 @@ that number can exceed what any screen can show (it reaches 2.0 for three
 balanced fully coherent sources).  :func:`visibility` therefore reports
 both: ``formula_v``, the closed form taken at face value, and ``scan_v``,
 the extremization over physically realizable phase configurations:
-``sum rho_ii +- 2 |rho_01|`` for two sources, and beyond that one batched
-coordinate descent over the unit fields ``exp(-i phi)``, from the phases
-of the top and bottom eigenvectors, the zero vector and seeded random
-starts.  They agree for two sources and genuinely part ways beyond that;
+``sum rho_ii +- 2 |rho_01|`` for two sources, and the scan below beyond
+that.  They agree for two sources and genuinely part ways beyond that;
 neither is silently preferred.
 
-Each scanned extremum comes with a proof of how far it can be from the
-true one: the weak-duality bound of the SDP relaxation (So, Zhang & Ye,
-Math. Program. 2007) at the multipliers of its best row, taken once a
-Newton polish has stepped that row in place.  ``i_max_upper`` and
-``i_min_lower`` bound the true extrema, and an extremum is certified when
-its interval is at most 1e-12 wide; the descent for it stops there.  For
-three sources the relaxation is exact (Huang & Zhang, Math. Oper. Res.
-2007); beyond that it can leave a gap of its own, which the flag then
-shows.  The descent runs in stages of 4, 4, 8 and 16 sweeps, then 16
-each; between stages, an extremum's best row is examined again once it
-has gained more than 1e-9 since its last examination.  An extremum is
-open when its polish has converged and left it uncertified: the
-relaxation's own gap, or a best row at a local extremum.  Each of its rows
-then stops on a Newton test once it sits at its own extremum or cannot
-overtake the best row.
+The scan
+--------
+Beyond two sources, one batched coordinate descent over the unit fields
+``v = exp(-i phi)`` (phi[0] = 0) runs one row per start of each extremum:
+the zero vector, the top and bottom eigenvectors' phases and seeded random
+vectors.  Its rules, stated here only:
+
+- Stages of 4, 4, 8 and 16 sweeps, then 16 each, up to 500 sweeps.  A row
+  stops once a sweep raises its value by no more than 1e-12 (a bound on
+  the sweep's gain, not on the distance to the extremum).
+- After each stage, an extremum's best row, running or not, is examined
+  if it has gained more than 1e-9 since its last examination (the first
+  always runs): a Newton polish steps it in place, and the weak-duality
+  bound of the SDP relaxation (So, Zhang & Ye, Math. Program. 2007) at
+  its multipliers gives ``i_max_upper`` or ``i_min_lower``.  An extremum
+  whose interval is at most 1e-12 wide is certified, and all its rows
+  stop: none can beat the best by more.
+- An extremum is open when its polish converged and left it uncertified:
+  the relaxation's own gap (exact for three sources, Huang & Zhang, Math.
+  Oper. Res. 2007, not beyond) or a best row at a local extremum.  After
+  each stage, each running row of an open extremum with a definite Hessian
+  stops if its value plus its Newton decrement trails the best row, and
+  otherwise takes the Newton step if that raises its value.  A row at its
+  own extremum either trails the best row or sits at the best value, where
+  the next sweep's gain stop ends it.
 
 Complex off-diagonals
 ---------------------
@@ -68,25 +76,15 @@ from .density import estimate_pid
 DEFAULT_STARTS = 64
 DEFAULT_SCAN_SEED = 1905
 
-# A descent row stops when one full pass over the free phases improves the
-# objective by no more than _REFINE_STOP, or after _MAX_SWEEPS.  That bounds
-# one sweep's gain, not the distance to the extremum.  The distance is a
-# duality bound, taken by the scan at the end of each stage on each
-# extremum's best row once polished, whether or not that row still runs; an
-# extremum is certified when the bound is within _CERTIFIED_GAP of the value,
-# and its rows then stop.
+# The scan's constants; the module docstring states the rules that read them.
+# Gain stop of one sweep, sweep cap, certified interval width.
 _REFINE_STOP = 1e-12
 _MAX_SWEEPS = 500
 _CERTIFIED_GAP = 1e-12
 # Newton steps one polish may take; a degenerate extremum converges linearly.
 _POLISH_STEPS = 30
-# An extremum's best row is examined again only once it has gained more than
-# _OPEN_GAP since its last examination.  The extremum is open when a Newton
-# polish, in place on that row, has converged and left it uncertified: the SDP
-# relaxation leaves a gap there, or the row sits at a local extremum.  Its
-# rows then also stop on a Newton test: at their own extremum, or unable to
-# reach the best row even with the gain their quadratic model predicts.
-# Every stage runs at most _STAGE_CAP sweeps.
+# Gain that brings an extremum's best row to another examination; most
+# sweeps in one stage.
 _OPEN_GAP = 1e-9
 _STAGE_CAP = 16
 
@@ -186,8 +184,14 @@ class IntensityPattern:
             )
         if not np.all(pos[1:] > pos[:-1]):
             raise DomainError("positions must be strictly increasing")
-        # An accepted state's intensity can dip to -N * PSD_TOL (|phi|**2 = N).
-        if vals.min(initial=0.0) < -self.geometry.n * PSD_TOL:
+        # An accepted state's intensity is at least -N * PSD_TOL (|v|**2 = N), less the
+        # kernel's rounding.  Its partial sums are at most about N in size (the pair moduli
+        # sum to at most N - 1 times the trace), so its C(N, 2) additions round by under
+        # N**3 eps / 4.  A term 2 |rho_ij| cos(t) rounds by under 2 |rho_ij| eps (|t| + 2), where
+        # |t| <= span + pi as no path difference exceeds the sources' spread; all terms by
+        # under N eps (span + pi + 2).
+        n, span = self.geometry.n, 2.0 * np.pi * np.ptp(self.geometry.source_positions) / self.geometry.wavelength
+        if vals.min(initial=0.0) < -n * (PSD_TOL + np.finfo(float).eps * (n * n + span + np.pi)):
             raise DomainError(f"negative intensity {vals.min()!r} in pattern")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "intensities", vals)
@@ -199,8 +203,9 @@ class VisibilityResult:
 
     ``formula_v`` is the closed form (may exceed 1 for N >= 3);
     ``scan_v = (i_max - i_min) / (i_max + i_min)`` from the phase scan;
-    ``sum_g`` is the sum of ``|g1|`` over defined pairs; ``bound`` is
-    C(N, 2) times the consensus coherent weight, absent when the state has
+    ``sum_g`` sums :func:`estimate_pid`'s ``p_ij`` over defined pairs,
+    which is ``|g1|`` clamped at 1 (a state accepted up to ``PSD_TOL``
+    can put ``|g1|`` above 1); ``bound`` is C(N, 2) times the consensus coherent weight, absent when the state has
     no consistent one.  The true extrema over all phases lie in
     ``[i_min_lower, i_min]`` and ``[i_max, i_max_upper]``; a flag is true
     when its interval is at most 1e-12 wide, which proves that extremum.
@@ -244,7 +249,9 @@ def intensity(rho, phases, k=None) -> float:
 
     ``sum_i rho_ii + 2 sum_{i>j} |rho_ij| cos(phi_i - phi_j + arg rho_ij)``,
     which is at least ``-N * PSD_TOL`` for every accepted state and every
-    phase vector, since ``|phi|**2 = N``.
+    phase vector, since ``|v|**2 = N`` for ``v = exp(-i phi)``; the value
+    returned can be lower by the sum's rounding, which
+    :class:`IntensityPattern` derives and allows.
     """
     rho = as_density(rho)
     phases = as_phases(phases)
@@ -389,14 +396,15 @@ def _polish(entries, fields, values, sense, row, noise):
     with the derivatives of :func:`_torus_derivatives`.  A step is the
     minimum-norm Newton step over the Hessian's eigen-directions of negative
     curvature, so a manifold of extrema (closed polygons of a family state
-    at N >= 4) is no obstacle.  A step goes on while it raises the value, or
-    keeps it within ``noise`` and shrinks the gradient: near an extremum the
-    value no longer resolves the distance to it, but the duality bound does.
-    The polish ends once the gradient is down to ``noise`` too.  Each step
-    taken goes to ``fields[:, row]`` and ``values[row]``, as :func:`_settle`
-    moves its rows, so the row ends at the last step, whose multipliers give
-    the bound.  Returns the largest gradient component there: at most
-    ``noise`` when the polish converged.
+    at N >= 4) is no obstacle; with no such direction the step is the
+    identity, which the next pass rejects.  A step goes on while it raises
+    the value, or keeps it within ``noise`` and shrinks the gradient: near
+    an extremum the value no longer resolves the distance to it, but the
+    duality bound does.  The polish ends once the gradient is down to
+    ``noise`` too.  Each step taken goes to ``fields[:, row]`` and
+    ``values[row]``, as :func:`_settle` moves its rows, so the row ends at
+    the last step, whose multipliers give the bound.  Returns the largest
+    gradient component there: at most ``noise`` when the polish converged.
     """
     m = sense * entries
     flat = np.sqrt(np.finfo(float).eps)
@@ -411,8 +419,6 @@ def _polish(entries, fields, values, sense, row, noise):
             break
         curvature, axes = np.linalg.eigh(hessian)
         ascent = curvature < -flat * np.abs(curvature).max()
-        if not ascent.any():
-            break
         curvature, axes = curvature[ascent], axes[:, ascent]
         trial = fields[:, row].copy()
         trial[1:] *= np.exp(1j * (axes @ ((axes.T @ gradient) / curvature)))
@@ -422,18 +428,15 @@ def _polish(entries, fields, values, sense, row, noise):
 def _settle(entries, fields, values, sense, rows, best):
     """Newton endgame for the rows ``rows`` of an open extremum; returns the mask of rows that stop.
 
-    ``best`` is the extremum's best value so far, in units of ``sense *
-    v^H rho v``.  One pass evaluates every row once, in batches: a row
+    One pass of the module docstring's open-extremum rule.  ``best`` is the
+    extremum's best value so far, in units of ``sense * v^H rho v``.  A row
     whose Hessian is not definite goes back to the sweeps.  At a definite
-    one, the Newton decrement ``delta = -g^T H^-1 g / 2`` is what a
-    Newton step would gain on the quadratic model; a row stops if even
-    ``delta`` above its value trails ``best``, the model's own test that it
-    cannot overtake the best row, or if ``delta`` is at most
-    ``_REFINE_STOP / 10``, since it sits at its extremum.  The other rows
-    take the Newton step, in place; a step that lowers the value is undone
-    and sends its row back to the sweeps.  Rows go in blocks of at most
-    ``_KERNEL_BLOCK / N^2``, so the ``(rows, N, N)`` derivatives stay
-    within a fixed size.
+    one, the Newton decrement ``delta = -g^T H^-1 g / 2`` is what a Newton
+    step would gain on the quadratic model; a row stops if even ``delta``
+    above its value trails ``best``.  The other rows take the Newton step,
+    in place; a step that lowers the value is undone and sends its row back
+    to the sweeps.  Rows go in blocks of at most ``_KERNEL_BLOCK / N^2``, so
+    the ``(rows, N, N)`` derivatives stay within a fixed size.
     """
     m = sense * entries
     flat = np.sqrt(np.finfo(float).eps)
@@ -447,7 +450,7 @@ def _settle(entries, fields, values, sense, rows, best):
         examined, value, gradient = examined[definite], value[definite], gradient[definite]
         newton = np.linalg.solve(hessian[definite], gradient[:, :, None])[:, :, 0]
         decrement = -0.5 * (gradient * newton).sum(1)
-        done = (decrement <= _REFINE_STOP / 10) | (value + decrement < best)
+        done = value + decrement < best
         stop[examined[done]] = True
         examined, value, newton = examined[~done], value[~done], newton[~done]
         trial = fields[:, rows[examined]] * np.vstack([np.ones(len(examined)), np.exp(1j * newton.T)])
@@ -462,19 +465,10 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     """Extremize the intensity over realizable phases (first phase gauged to 0).
 
     Returns ``(i_max, i_min, i_max_upper, i_min_lower)``: the extrema found
-    and duality bounds on the true ones.  One loop runs the descent in
-    stages of 4, 4, 8 and 16 sweeps, then of ``_STAGE_CAP`` sweeps, until
-    no row is going or ``_MAX_SWEEPS`` is reached.  After each stage, it
-    examines each extremum's best row, whether or not it is still going,
-    once it has gained more than ``_OPEN_GAP`` since the last examination
-    (the first always runs), one way: :func:`_polish` steps it in place,
-    then :func:`_dual_bound` bounds it at the polished field by its own
-    multipliers.  Once the row is proven within ``_CERTIFIED_GAP``, no
-    other row can beat it by more than the gap, and the extremum's rows
-    stop.  An extremum whose polish converges and leaves it uncertified is
-    open: the relaxation leaves a gap there, or the row sits at a local
-    extremum.  Its rows then also stop on :func:`_settle`'s Newton test,
-    one pass after each stage.  A row reads
+    and duality bounds on the true ones, by the rules in the module
+    docstring.  :func:`_descend` runs each stage's sweeps, :func:`_polish`
+    and :func:`_dual_bound` examine an extremum, and :func:`_settle` takes
+    an open one's Newton pass.  A row reads
     ``base + Re(v^H (rho - diag rho) v)`` with ``base`` the populations'
     exact sum, so a field off unit modulus by rounding moves only pair terms.
     """

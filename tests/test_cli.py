@@ -65,6 +65,14 @@ class TestValidate:
         assert not report["ok"]
         assert report["trace_dev"] == pytest.approx(0.1, abs=1e-12)
 
+    def test_overflowing_amplitudes_give_one_error_line(self, tmp_path):
+        doc = {"amplitudes": [[1e200, 0.0], [1e200, 0.0]], "p_id": 0.5}
+        proc = run("validate", "--config", config_file(tmp_path, doc))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "square-sum to inf" in proc.stderr
+
     def test_missing_file(self, tmp_path):
         proc = run("validate", "--config", str(tmp_path / "absent.json"))
         assert proc.returncode == 2

@@ -97,6 +97,30 @@ class TestParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"amplitudes": [[1.0, 0.0], [float("nan"), 0.0]], "p_id": 0.5})
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "config root must be a JSON object, got list"),
+            ({"amplitudes": {}, "p_id": 0.5}, "amplitudes must be a list of at least 2"),
+            ({"amplitudes": [[1.0, 0.0]], "p_id": 0.5}, "amplitudes must be a list of at least 2"),
+            ({"rho": "eye"}, "rho must be a list of at least 2 rows"),
+            ({"rho": [[[1.0, 0.0]]]}, "rho must be a list of at least 2 rows"),
+            ({**FAMILY, "geometry": []}, "geometry must be an object"),
+            (
+                {**FAMILY, "geometry": {"source_positions": 0.0, "screen_distance": 1.0, "wavelength": 5e-7}},
+                "geometry.source_positions must be a list of reals",
+            ),
+            ({**FAMILY, "scan": [1]}, "scan must be an object"),
+        ],
+    )
+    def test_wrong_shapes_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_overflowing_amplitudes_fail_normalization(self):
+        with pytest.raises(ConfigError, match="^amplitudes square-sum to inf"):
+            ExperimentConfig.from_dict({"amplitudes": [[1e200, 0.0], [1e200, 0.0]], "p_id": 0.5})
+
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"amplitudes": FAMILY["amplitudes"], "p_id": True})

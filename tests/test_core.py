@@ -17,6 +17,9 @@ from interfere import (
     as_density,
     as_phases,
     as_scale,
+    big_g1,
+    intensity,
+    oracle_intensity,
     validate_density,
 )
 
@@ -67,6 +70,15 @@ class TestAmplitudes:
     def test_normalized_rejects_zero_vector(self):
         with pytest.raises(NormalizationError):
             Amplitudes.normalized([0.0, 0.0])
+
+    def test_overflowing_square_sum_fails_normalization(self):
+        with pytest.raises(NormalizationError, match="^amplitudes square-sum to inf"):
+            Amplitudes([1e200, 1e200])
+
+    def test_array_conversion(self):
+        a = Amplitudes([0.6, 0.8j])
+        np.testing.assert_array_equal(np.asarray(a), [0.6, 0.8j])
+        assert np.asarray(a).dtype == complex
 
     def test_values_are_read_only(self):
         a = Amplitudes.normalized([1.0, 1.0])
@@ -175,6 +187,11 @@ class TestPhaseConfig:
         with pytest.raises(DimensionError):
             PhaseConfig(np.zeros((2, 2)))
 
+    def test_array_conversion(self):
+        phi = PhaseConfig([0.0, 1.5])
+        np.testing.assert_array_equal(np.asarray(phi), [0.0, 1.5])
+        assert np.asarray(phi, dtype=complex).dtype == complex
+
     def test_as_phases_passthrough(self):
         phi = PhaseConfig(np.array([0.0, 1.0]))
         assert as_phases(phi) is phi
@@ -191,6 +208,25 @@ class TestFieldScale:
     def test_rejects_zero(self):
         with pytest.raises(DomainError):
             FieldScale(0.0)
+
+    @pytest.mark.parametrize("k", [1e155, 1e155j, complex(1e200, 1e200), 1e-170, np.inf, np.nan])
+    def test_rejects_a_scale_whose_square_is_not_a_positive_float(self, k):
+        with pytest.raises(DomainError, match=r"^field scale must have \|k\|\*\*2 positive and finite"):
+            FieldScale(k)
+
+    @pytest.mark.parametrize(
+        "readout",
+        [
+            lambda k: intensity(np.eye(2) / 2, [0.0, 0.0], k=k),
+            lambda k: big_g1(np.eye(2) / 2, 0, 0, k=k),
+            lambda k: oracle_intensity(np.eye(2) / 2, [0.0, 0.0], k=k),
+        ],
+        ids=["intensity", "big_g1", "oracle_intensity"],
+    )
+    def test_overflowing_scale_is_a_domain_error_in_every_readout(self, readout):
+        with pytest.raises(DomainError, match="^field scale must have"):
+            readout(1e155)
+        assert np.isfinite(readout(1e154))
 
     def test_as_scale_none_means_unit(self):
         assert as_scale(None).intensity_scale == 1.0

@@ -110,6 +110,11 @@ class TestDetectionGeometry:
         with pytest.raises(DimensionError):
             DetectionGeometry([0.0], 1.0, 5e-7)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_rejected(self, bad):
+        with pytest.raises(DomainError, match="^source positions contain non-finite entries$"):
+            DetectionGeometry([0.0, bad], 1.0, 5e-7)
+
 
 class TestPhasesFromGeometry:
     def test_on_axis_symmetric_paths(self):
@@ -182,6 +187,14 @@ class TestPattern:
         with pytest.raises(DomainError):
             IntensityPattern(np.array([0.0, 1.0]), np.array([1.0, -1.0]), TWO_SLIT)
 
+    @pytest.mark.parametrize(
+        "positions, intensities",
+        [([0.0, 1.0], [1.0, 1.0, 1.0]), ([0.0], [1.0]), ([[0.0, 1.0]], [[1.0, 1.0]])],
+    )
+    def test_pattern_type_rejects_mismatched_shapes(self, positions, intensities):
+        with pytest.raises(DimensionError, match="^positions and intensities must be matching 1-D arrays"):
+            IntensityPattern(np.array(positions), np.array(intensities), TWO_SLIT)
+
     def test_pattern_type_rejects_unsorted_positions(self):
         with pytest.raises(DomainError):
             IntensityPattern(np.array([1.0, 0.0]), np.array([1.0, 1.0]), TWO_SLIT)
@@ -192,6 +205,27 @@ class TestPattern:
         assert -PSD_TOL <= validate_density(rho).min_eig < 0
         result = pattern(rho, TWO_SLIT, -0.05, 0.05, 100001)
         assert -2 * PSD_TOL <= result.intensities.min() < 0
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_accepted_state_at_the_psd_floor_gives_a_pattern(self, n):
+        # States whose eigenvalue -PSD_TOL (1 - 2e-8) has the eigenvector exp(-i phi) / sqrt(N)
+        # of the screen's centre: an intensity of -N * PSD_TOL there, up to the kernel's rounding,
+        # which takes some of them below -N * PSD_TOL.  Each accepted state gives a pattern.
+        geometry = DetectionGeometry(np.linspace(-5e-6, 5e-6, n), 1.0, 5e-7)
+        dark = np.exp(-1j * phases_from_geometry(geometry, 0.0).phases) / np.sqrt(n)
+        rng = np.random.default_rng(1)
+        centres = []
+        for _ in range(20):
+            draw = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))
+            basis = np.linalg.qr(np.column_stack([dark, draw]))[0]
+            basis[:, 0] = dark
+            weights = rng.uniform(0.1, 1.0, n)
+            weights[0] = -PSD_TOL * (1 - 2e-8)
+            weights[1:] *= (1 - weights[0]) / weights[1:].sum()
+            entries = (basis * weights) @ basis.conj().T
+            if validate_density(entries).ok:
+                centres.append(pattern(DensityMatrix(entries), geometry, -0.05, 0.05, 3).intensities[1])
+        assert min(centres) < -n * PSD_TOL
 
     def test_oversized_sampling_rejected_before_allocating(self, monkeypatch):
         class Reached(Exception):

@@ -136,6 +136,18 @@ class TestTraceCorrelation:
         with pytest.raises(DimensionError):
             trace_correlation(embed(np.eye(3, dtype=complex) / 3), [annihilation(space2, 0)])
 
+    @pytest.mark.parametrize(
+        "rho_full, operators, message",
+        [
+            (np.zeros((3, 2)), [np.eye(3)], "full-space state must be square, got shape \\(3, 2\\)"),
+            (np.zeros(3), [np.eye(3)], "full-space state must be square, got shape \\(3,\\)"),
+            (np.eye(3) / 3, [], "need at least one operator"),
+        ],
+    )
+    def test_malformed_arguments(self, rho_full, operators, message):
+        with pytest.raises(DimensionError, match=f"^{message}$"):
+            trace_correlation(rho_full, operators)
+
 
 class TestOracleIntensity:
     def test_constructive_two_slit(self):
