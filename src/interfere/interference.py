@@ -190,7 +190,8 @@ class IntensityPattern:
         # N**3 eps / 4.  A term 2 |rho_ij| cos(t) rounds by under 2 |rho_ij| eps (|t| + 2), where
         # |t| <= span + pi as no path difference exceeds the sources' spread; all terms by
         # under N eps (span + pi + 2).
-        n, span = self.geometry.n, 2.0 * np.pi * np.ptp(self.geometry.source_positions) / self.geometry.wavelength
+        geometry = self.geometry
+        n, span = geometry.n, 2.0 * np.pi * np.ptp(geometry.source_positions) / geometry.wavelength
         if vals.min(initial=0.0) < -n * (PSD_TOL + np.finfo(float).eps * (n * n + span + np.pi)):
             raise DomainError(f"negative intensity {vals.min()!r} in pattern")
         object.__setattr__(self, "positions", pos)
@@ -205,12 +206,13 @@ class VisibilityResult:
     ``scan_v = (i_max - i_min) / (i_max + i_min)`` from the phase scan;
     ``sum_g`` sums :func:`estimate_pid`'s ``p_ij`` over defined pairs,
     which is ``|g1|`` clamped at 1 (a state accepted up to ``PSD_TOL``
-    can put ``|g1|`` above 1); ``bound`` is C(N, 2) times the consensus coherent weight, absent when the state has
-    no consistent one.  The true extrema over all phases lie in
-    ``[i_min_lower, i_min]`` and ``[i_max, i_max_upper]``; a flag is true
-    when its interval is at most 1e-12 wide, which proves that extremum.
-    The minimum and both ends of its interval are of the intensity clamped
-    at 0, which an accepted state may dip just below.
+    can put ``|g1|`` above 1); ``bound`` is C(N, 2) times the consensus
+    coherent weight, absent when the state has no consistent one.  The
+    true extrema over all phases lie in ``[i_min_lower, i_min]`` and
+    ``[i_max, i_max_upper]``; a flag is true when its interval is at most
+    1e-12 wide, which proves that extremum.  The minimum and both ends of
+    its interval are of the intensity clamped at 0, which an accepted state
+    may dip just below.
     """
 
     formula_v: float
