@@ -189,9 +189,10 @@ class IntensityPattern:
         # sum to at most N - 1 times the trace), so its C(N, 2) additions round by under
         # N**3 eps / 4.  A term 2 |rho_ij| cos(t) rounds by under 2 |rho_ij| eps (|t| + 2), where
         # |t| <= span + pi as no path difference exceeds the sources' spread; all terms by
-        # under N eps (span + pi + 2).
-        geometry = self.geometry
-        n, span = geometry.n, 2.0 * np.pi * np.ptp(geometry.source_positions) / geometry.wavelength
+        # under N eps (span + pi + 2).  A span beyond float range leaves no floor.
+        with np.errstate(over="ignore"):
+            span = 2.0 * np.pi * np.ptp(self.geometry.source_positions) / self.geometry.wavelength
+        n = self.geometry.n
         if vals.min(initial=0.0) < -n * (PSD_TOL + np.finfo(float).eps * (n * n + span + np.pi)):
             raise DomainError(f"negative intensity {vals.min()!r} in pattern")
         object.__setattr__(self, "positions", pos)

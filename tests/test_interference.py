@@ -195,6 +195,14 @@ class TestPattern:
         with pytest.raises(DimensionError, match="^positions and intensities must be matching 1-D arrays"):
             IntensityPattern(np.array(positions), np.array(intensities), TWO_SLIT)
 
+    @pytest.mark.parametrize(
+        "sources, wavelength", [([-1e308, 1e308], 5e-7), ([0.0, 1e302], 5e-7), ([0.0, 1.0], 1e-308)]
+    )
+    def test_pattern_type_takes_a_geometry_whose_phase_span_overflows(self, sources, wavelength):
+        geometry = DetectionGeometry(sources, 1.0, wavelength)
+        result = IntensityPattern(np.array([0.0, 1.0]), np.array([1.0, 0.5]), geometry)
+        assert result.geometry is geometry
+
     def test_pattern_type_rejects_unsorted_positions(self):
         with pytest.raises(DomainError):
             IntensityPattern(np.array([1.0, 0.0]), np.array([1.0, 1.0]), TWO_SLIT)
