@@ -24,7 +24,9 @@ The scan
 Beyond two sources, one batched coordinate descent over the unit fields
 ``v = exp(-i phi)`` (phi[0] = 0) runs one row per start of each extremum:
 the zero vector, the top and bottom eigenvectors' phases and seeded random
-vectors.  Its rules, stated here only:
+vectors.  Each extremum climbs ``v^H m v``, ``m = rho`` for the maximum
+and ``m = -rho`` for the minimum; its values and bound are in that unit.
+Its rules, stated here only:
 
 - Stages of 4, 4, 8 and 16 sweeps, then 16 each, up to 500 sweeps.  A row
   stops once a sweep raises its value by no more than 1e-12 (a bound on
@@ -77,10 +79,11 @@ DEFAULT_STARTS = 64
 DEFAULT_SCAN_SEED = 1905
 
 # The scan's constants; the module docstring states the rules that read them.
-# Gain stop of one sweep, sweep cap, certified interval width.
+# Gain stop of one sweep, sweep cap, certified interval width, relative flat curvature.
 _REFINE_STOP = 1e-12
 _MAX_SWEEPS = 500
 _CERTIFIED_GAP = 1e-12
+_FLAT = np.sqrt(np.finfo(float).eps)
 # Newton steps one polish may take; a degenerate extremum converges linearly.
 _POLISH_STEPS = 30
 # Gain that brings an extremum's best row to another examination; most
@@ -316,16 +319,16 @@ def _descend(entries, fields, values, sense, going, sweeps):
     """Up to ``sweeps`` sweeps of exact coordinate descent on the rows ``going``.
 
     ``fields`` holds one column of unit fields ``v = exp(-i phi)`` per row
-    (v[0] stays 1) and ``values`` each row's ``v^H rho v``, both updated in
-    place; ``sense`` is +1 for a row that maximizes, -1 for one that
-    minimizes.  The objective depends on one ``v_m`` only through
-    ``Re(conj(v_m) w)`` with the field sum ``w = sum_{j != m} 2 rho_mj v_j``
-    (one matrix-vector product for all rows), so each update is the closed
-    form ``v_m = sense * w / |w|``: kept where ``w == 0``, divided part by
-    part so a subnormal ``|w|`` cannot overflow.  A row stops once a sweep
-    raises its value by no more than ``_REFINE_STOP``; returns the mask of
-    rows still going.  :func:`_scan_extrema` holds the sweep schedule and
-    the ``_MAX_SWEEPS`` cap, and reads the extrema from ``fields``.
+    (v[0] stays 1) and ``values`` each row's ``v^H m v``, ``m = sense * rho``
+    (+1 to maximize, -1 to minimize), both updated in place.  The objective
+    depends on one ``v_m`` only through ``Re(conj(v_m) w)`` with the field
+    sum ``w = sum_{j != m} 2 rho_mj v_j`` (one matrix-vector product for all
+    rows), so each update is the closed form ``v_m = sense * w / |w|``:
+    kept where ``w == 0``, divided part by part so a subnormal ``|w|``
+    cannot overflow.  A row stops once a sweep raises its value by no more
+    than ``_REFINE_STOP``; returns the mask of rows still going.
+    :func:`_scan_extrema` holds the sweep schedule and the ``_MAX_SWEEPS``
+    cap, and reads the extrema from ``fields``.
     """
     coef = 2.0 * (entries - np.diag(entries.diagonal()))
     updates = list(enumerate(coef))[1:]
@@ -342,8 +345,8 @@ def _descend(entries, fields, values, sense, going, sweeps):
             else:
                 np.divide(w.real, size, out=real[m], where=(live := size != 0.0))
                 np.divide(w.imag, size, out=imag[m], where=live)
-        current = (moving.conj() * (entries @ moving)).real.sum(0)
-        still = sign * (current - values[rows]) > _REFINE_STOP
+        current = sign * (moving.conj() * (entries @ moving)).real.sum(0)
+        still = current - values[rows] > _REFINE_STOP
         values[rows] = current
         if not still.all():
             fields[:, rows] = moving
@@ -357,18 +360,17 @@ def _descend(entries, fields, values, sense, going, sweeps):
     return going
 
 
-def _dual_bound(entries, field, sense) -> float:
-    """A bound on ``sense * x^H rho x`` over every unit-modulus ``x``.
+def _dual_bound(m, field) -> float:
+    """A bound on ``x^H m x`` over every unit-modulus ``x``.
 
-    Weak duality for the SDP relaxation: for every real ``y`` and
-    ``M = sense * rho``, ``x^H M x = x^H (M - diag y) x + sum y``, which is at
-    most ``sum y + N lambda_max(M - diag y)``.  The multipliers
-    ``y_i = Re(conj(v_i) (M v)_i)`` of ``field`` make the bound meet the
+    Weak duality for the SDP relaxation: for every real ``y``,
+    ``x^H m x = x^H (m - diag y) x + sum y``, which is at most
+    ``sum y + N lambda_max(m - diag y)``.  The multipliers
+    ``y_i = Re(conj(v_i) (m v)_i)`` of ``field`` make the bound meet the
     value at an extremum the relaxation leaves exact.  The allowance,
     ``N eps sum |y|`` plus ``N^2 eps`` times the spectral radius, covers
     the rounding of the sum and of ``eigvalsh``.
     """
-    m = sense * entries
     y = (field.conj() * (m @ field)).real
     spectrum = np.linalg.eigvalsh(m - np.diag(y))
     n = len(y)
@@ -392,8 +394,8 @@ def _torus_derivatives(m, fields):
     return products.real.sum((1, 2)), gradients, hessians
 
 
-def _polish(entries, fields, values, sense, row, noise):
-    """Safeguarded Newton ascent of ``sense * v^H rho v`` on the torus, in place on one row.
+def _polish(m, fields, values, row, noise):
+    """Safeguarded Newton ascent of ``v^H m v`` on the torus, in place on one row.
 
     Newton's method on a manifold (Absil, Mahony & Sepulchre, 2008, ch. 6),
     with the derivatives of :func:`_torus_derivatives`.  A step is the
@@ -409,30 +411,28 @@ def _polish(entries, fields, values, sense, row, noise):
     the last step, whose multipliers give the bound.  Returns the largest
     gradient component there: at most ``noise`` when the polish converged.
     """
-    m = sense * entries
-    flat = np.sqrt(np.finfo(float).eps)
     value, slope, trial = -np.inf, np.inf, fields[:, row]
     for _ in range(_POLISH_STEPS):
         (trial_value,), (gradient,), (hessian,) = _torus_derivatives(m, trial[:, None])
         trial_slope = np.abs(gradient).max()
         if not (trial_value > value or (trial_value >= value - noise and trial_slope < slope)):
             break
-        fields[:, row], values[row], value, slope = trial, sense * trial_value, trial_value, trial_slope
+        fields[:, row], values[row], value, slope = trial, trial_value, trial_value, trial_slope
         if slope <= noise:
             break
         curvature, axes = np.linalg.eigh(hessian)
-        ascent = curvature < -flat * np.abs(curvature).max()
+        ascent = curvature < -_FLAT * np.abs(curvature).max()
         curvature, axes = curvature[ascent], axes[:, ascent]
         trial = fields[:, row].copy()
         trial[1:] *= np.exp(1j * (axes @ ((axes.T @ gradient) / curvature)))
     return slope
 
 
-def _settle(entries, fields, values, sense, rows, best):
+def _settle(m, fields, values, rows, best):
     """Newton endgame for the rows ``rows`` of an open extremum; returns the mask of rows that stop.
 
     One pass of the module docstring's open-extremum rule.  ``best`` is the
-    extremum's best value so far, in units of ``sense * v^H rho v``.  A row
+    extremum's best value so far, in units of ``v^H m v``.  A row
     whose Hessian is not definite goes back to the sweeps.  At a definite
     one, the Newton decrement ``delta = -g^T H^-1 g / 2`` is what a Newton
     step would gain on the quadratic model; a row stops if even ``delta``
@@ -441,15 +441,13 @@ def _settle(entries, fields, values, sense, rows, best):
     to the sweeps.  Rows go in blocks of at most ``_KERNEL_BLOCK / N^2``, so
     the ``(rows, N, N)`` derivatives stay within a fixed size.
     """
-    m = sense * entries
-    flat = np.sqrt(np.finfo(float).eps)
     stop = np.zeros(len(rows), bool)
     block = _block_rows(m.size)
     for first in range(0, len(rows), block):
         examined = np.arange(first, min(first + block, len(rows)))
         value, gradient, hessian = _torus_derivatives(m, fields[:, rows[examined]])
         curvature = np.linalg.eigvalsh(hessian)
-        definite = curvature[:, -1] < -flat * np.abs(curvature).max(1)
+        definite = curvature[:, -1] < -_FLAT * np.abs(curvature).max(1)
         examined, value, gradient = examined[definite], value[definite], gradient[definite]
         newton = np.linalg.solve(hessian[definite], gradient[:, :, None])[:, :, 0]
         decrement = -0.5 * (gradient * newton).sum(1)
@@ -457,8 +455,8 @@ def _settle(entries, fields, values, sense, rows, best):
         stop[examined[done]] = True
         examined, value, newton = examined[~done], value[~done], newton[~done]
         trial = fields[:, rows[examined]] * np.vstack([np.ones(len(examined)), np.exp(1j * newton.T)])
-        reached = (trial.conj() * (entries @ trial)).real.sum(0)
-        raised = sense * reached >= value
+        reached = (trial.conj() * (m @ trial)).real.sum(0)
+        raised = reached >= value
         examined = examined[raised]
         fields[:, rows[examined]], values[rows[examined]] = trial[:, raised], reached[raised]
     return stop
@@ -491,10 +489,11 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     seeded[3:, 1:] = np.random.default_rng(settings.seed).uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
     sense = np.repeat([1.0, -1.0], count)
     fields = np.exp(-1j * np.concatenate([seeded, seeded])).T.copy()
-    values = (fields.conj() * (rho.entries @ fields)).real.sum(0)
-    # Per extremum, in units of sense * intensity: the best row value
-    # examined so far, the least bound, and whether it is open.
+    values = sense * (fields.conj() * (rho.entries @ fields)).real.sum(0)
+    # Per extremum, in units of v^H m v: the best row value examined so far,
+    # the least bound, and whether it is open.
     tried, bounds, opened = [-np.inf] * 2, [np.inf] * 2, [False] * 2
+    matrices = (rho.entries, -rho.entries)
     noise = n * np.finfo(float).eps * np.abs(rho.entries).sum()  # rounding of v^H rho v
     swept, going = 0, np.ones(values.shape, bool)
     while going.any() and swept < _MAX_SWEEPS:
@@ -502,18 +501,18 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
         stage = min(max(swept, 4), _STAGE_CAP, _MAX_SWEEPS - swept)
         going = _descend(rho.entries, fields, values, sense, going, stage)
         swept += stage
-        for k, s in enumerate((1.0, -1.0)):
+        for k, m in enumerate(matrices):
             own = slice(k * count, (k + 1) * count)
             if opened[k]:
                 rows = k * count + np.flatnonzero(going[own])
-                stop = _settle(rho.entries, fields, values, s, rows, float((s * values[own]).max()))
+                stop = _settle(m, fields, values, rows, float(values[own].max()))
                 going[rows[stop]] = False
-            best = k * count + int(np.argmax(s * values[own]))
-            if s * values[best] <= tried[k] + _OPEN_GAP:
+            best = k * count + int(np.argmax(values[own]))
+            if values[best] <= tried[k] + _OPEN_GAP:
                 continue
-            slope = _polish(rho.entries, fields, values, s, best, noise)
-            tried[k] = s * values[best]
-            bounds[k] = min(bounds[k], _dual_bound(rho.entries, fields[:, best], s))
+            slope = _polish(m, fields, values, best, noise)
+            tried[k] = values[best]
+            bounds[k] = min(bounds[k], _dual_bound(m, fields[:, best]))
             opened[k] = slope <= noise and bounds[k] - tried[k] > _CERTIFIED_GAP
             if bounds[k] - tried[k] <= _CERTIFIED_GAP:
                 going[own] = False

@@ -74,7 +74,7 @@ def test_old_scan_miss_is_not_certified():
     assert np.array_equal(rho.entries, entries)
     value, phi = ref._descend(rho.entries, float(rho.populations.sum()), rho.pairs, phi, -1.0)
     assert value - dark > 1e-9
-    lower = -_dual_bound(rho.entries, np.exp(-1j * phi), -1.0)
+    lower = -_dual_bound(-rho.entries, np.exp(-1j * phi))
     assert lower <= dark and value - lower > GAP
     result = visibility(rho)
     assert result.min_certified and abs(result.i_min - dark) <= GAP
@@ -87,7 +87,7 @@ def test_descent_short_of_polygon_boundary_is_not_certified():
     phases = np.array([0.338, 3.907, 5.379, 0.33, 1.261, 2.577])
     rho = mix(EmissionModel(Amplitudes.normalized(moduli * np.exp(1j * phases)), 0.42))
     value, phi = ref._descend(rho.entries, float(rho.populations.sum()), rho.pairs, np.zeros(6), -1.0)
-    lower = -_dual_bound(rho.entries, np.exp(-1j * phi), -1.0)
+    lower = -_dual_bound(-rho.entries, np.exp(-1j * phi))
     assert lower <= 0.58 <= value and value - lower > GAP
 
 
@@ -100,25 +100,26 @@ def _boundary_model():
 
 @pytest.mark.parametrize("model", [_boundary_model(), _seed_109_state()], ids=["boundary", "closed-polygon"])
 def test_polish_steps_its_row_in_place(model):
-    # Three minimizing rows after four sweeps; the polish of row 0 moves that
-    # column and value only, keeps the value true to the field, and returns
-    # the largest gradient component at the field it leaves there.
+    # Three minimizing rows, valued -v^H rho v, after four sweeps; the polish
+    # of row 0 moves that column and value only, keeps the value true to the
+    # field, and returns the largest gradient component at the field it
+    # leaves there.
     rho = mix(model)
     n, entries = int(rho.n), rho.entries
     starts = np.zeros((3, n))
     starts[1:, 1:] = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, (2, n - 1))
     fields = np.exp(-1j * starts).T.copy()
-    values = (fields.conj() * (entries @ fields)).real.sum(0)
+    values = -(fields.conj() * (entries @ fields)).real.sum(0)
     _descend(entries, fields, values, -np.ones(3), np.ones(3, bool), 4)
     noise = n * np.finfo(float).eps * np.abs(entries).sum()
     before_fields, before_values = fields.copy(), values.copy()
-    slope = _polish(entries, fields, values, -1.0, 0, noise)
+    slope = _polish(-entries, fields, values, 0, noise)
     field = fields[:, 0]
-    assert abs(values[0] - (field.conj() @ entries @ field).real) <= noise
+    assert abs(values[0] + (field.conj() @ entries @ field).real) <= noise
     assert np.array_equal(fields[:, 1:], before_fields[:, 1:]) and np.array_equal(values[1:], before_values[1:])
     assert slope == np.abs(_torus_derivatives(-entries, fields[:, :1])[1]).max()
     dark = 1.0 - model.p_id
-    assert values[0] < before_values[0] and abs(values[0] - dark) <= 1e-12, (before_values[0] - dark, values[0] - dark)
+    assert values[0] > before_values[0] and abs(values[0] + dark) <= 1e-12, (-before_values[0] - dark, -values[0] - dark)
     if n == 4:
         # Inside the polygon the minima form a manifold of closed polygons,
         # and the polish converges on it.  At the boundary the Hessian is

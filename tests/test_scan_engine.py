@@ -175,7 +175,7 @@ def test_every_start_reaches_its_reference_value(n):
         sense = np.tile([1.0, -1.0], 4)
         want = [ref._descend(rho.entries, base, rho.pairs, row.copy(), s)[0] for row, s in zip(starts, sense)]
         fields = np.exp(-1j * starts).T.copy()
-        values = (fields.conj() * (rho.entries @ fields)).real.sum(0)
+        values = sense * (fields.conj() * (rho.entries @ fields)).real.sum(0)
         _descend(rho.entries, fields, values, sense, np.ones(len(sense), bool), _MAX_SWEEPS)
         got = _intensity_given_phases(base, rho.pairs, -np.angle(fields.T))
         assert np.max(np.abs(got - want)) <= TOL, (got, want)
@@ -229,14 +229,14 @@ def test_every_bound_is_taken_at_a_just_polished_field(n, monkeypatch):
     # then bounded at the very field the polish left.
     polish, bound, calls = interference._polish, interference._dual_bound, []
 
-    def polished(entries, fields, values, sense, row, noise):
-        slope = polish(entries, fields, values, sense, row, noise)
+    def polished(m, fields, values, row, noise):
+        slope = polish(m, fields, values, row, noise)
         calls.append(("polish", fields[:, row].copy()))
         return slope
 
-    def bounded(entries, field, sense):
+    def bounded(m, field):
         calls.append(("bound", field.copy()))
-        return bound(entries, field, sense)
+        return bound(m, field)
 
     monkeypatch.setattr(interference, "_polish", polished)
     monkeypatch.setattr(interference, "_dual_bound", bounded)
@@ -284,16 +284,19 @@ def test_no_extremum_is_examined_before_sweep_four(n, monkeypatch):
 def test_only_a_converged_polish_opens_an_extremum(monkeypatch):
     # An extremum settles only after its last polish converged: at N = 24,
     # settling rows against a best row that is still moving stops rows that
-    # would have found a lower minimum.
+    # would have found a lower minimum.  An extremum's matrix, rho or -rho,
+    # has the sign of its trace.
     polish, settle, calls = interference._polish, interference._settle, []
 
-    def polished(entries, fields, values, sense, row, noise):
-        slope = polish(entries, fields, values, sense, row, noise)
-        calls.append(("polish", sense, slope <= noise))
+    def polished(m, fields, values, row, noise):
+        slope = polish(m, fields, values, row, noise)
+        calls.append(("polish", np.sign(m.trace().real), slope <= noise))
         return slope
 
     monkeypatch.setattr(interference, "_polish", polished)
-    monkeypatch.setattr(interference, "_settle", lambda *args: calls.append(("settle", args[3])) or settle(*args))
+    monkeypatch.setattr(
+        interference, "_settle", lambda *args: calls.append(("settle", np.sign(args[0].trace().real))) or settle(*args)
+    )
     rng = np.random.default_rng(4024)
     a = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
     rho = a @ a.conj().T
@@ -314,7 +317,7 @@ def test_settle_memory_is_bounded_by_the_block(monkeypatch):
     # derivatives holds at most _KERNEL_BLOCK products, however many rows.
     derivatives, batches = interference._torus_derivatives, []
     settle, settled = interference._settle, []
-    monkeypatch.setattr(interference, "_settle", lambda *args: settled.append(len(args[4])) or settle(*args))
+    monkeypatch.setattr(interference, "_settle", lambda *args: settled.append(len(args[3])) or settle(*args))
     monkeypatch.setattr(
         interference, "_torus_derivatives", lambda m, f: batches.append(f.shape[1] * m.size) or derivatives(m, f)
     )
