@@ -46,11 +46,12 @@ def big_g1(rho, i: int, j: int, k=None) -> complex:
     """Unnormalized two-point correlation ``Tr(rho E_minus(i) E_plus(j))``.
 
     Closed form: ``|k|**2 * rho[j, i]``.  The field's complex scale enters
-    only through its modulus.
+    only through its modulus; a product that overflows raises
+    ``DomainError``.
     """
     rho = as_density(rho)
     i, j = (_check_index(idx, rho.n, "source") for idx in (i, j))
-    return complex(as_scale(k).intensity_scale * rho.entries[j, i])
+    return complex(as_scale(k).scaled(rho.entries[j, i]))
 
 
 def g1(rho, i: int, j: int) -> complex:

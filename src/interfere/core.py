@@ -140,7 +140,10 @@ class Amplitudes:
     def normalized(cls, values) -> "Amplitudes":
         """Build amplitudes from an unnormalized vector by exact rescaling."""
         vals = np.asarray(values, dtype=complex)
-        norm = float(np.linalg.norm(vals))
+        with np.errstate(over="ignore"):  # a finite vector's norm can overflow to inf
+            norm = float(np.linalg.norm(vals))
+        if norm == math.inf and np.isfinite(vals).all():
+            raise NormalizationError("cannot normalize a vector whose norm overflows")
         if norm == 0.0 or not np.isfinite(norm):
             raise NormalizationError("cannot normalize a zero or non-finite vector")
         return cls(vals / norm)
@@ -176,7 +179,8 @@ def validate_density(rho, tol: float | None = None) -> ValidationReport:
     (``HERMITIAN_TOL``, ``TRACE_TOL``, ``PSD_TOL``); passing a single
     ``tol`` applies it to all three.  ``min_eig`` is the smallest
     eigenvalue of the Hermitian part of the input, which coincides with
-    the spectrum whenever the Hermiticity check passes.
+    the spectrum whenever the Hermiticity check passes, and NaN when that
+    part overflows; a check that overflows fails.
     """
     entries = np.asarray(rho, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -192,9 +196,11 @@ def validate_density(rho, tol: float | None = None) -> ValidationReport:
     if not np.all(np.isfinite(entries.view(float))):
         return ValidationReport(False, float("nan"), float("nan"), False)
 
-    hermitian = bool(np.max(np.abs(entries - entries.conj().T)) <= hermitian_tol)
-    trace_dev = float(abs(np.trace(entries) - 1.0))
-    min_eig = float(np.linalg.eigvalsh((entries + entries.conj().T) / 2.0)[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # finite entries can sum to inf or nan
+        hermitian = bool(np.max(np.abs(entries - entries.conj().T)) <= hermitian_tol)
+        trace_dev = float(abs(np.trace(entries) - 1.0))
+        part = (entries + entries.conj().T) / 2.0
+    min_eig = float(np.linalg.eigvalsh(part)[0]) if np.isfinite(part).all() else float("nan")
     ok = hermitian and trace_dev <= trace_tol and min_eig >= -psd_tol
     return ValidationReport(hermitian, trace_dev, min_eig, ok)
 
@@ -329,6 +335,14 @@ class FieldScale:
     @property
     def intensity_scale(self) -> float:
         return abs(self.k) ** 2
+
+    def scaled(self, value):
+        """``|k|**2 * value``; ``DomainError`` when that is not finite."""
+        with np.errstate(over="ignore"):
+            product = self.intensity_scale * value
+        if not np.isfinite(product):
+            raise DomainError(f"|k|**2 = {self.intensity_scale!r} times {value} overflows")
+        return product
 
 
 def as_scale(k) -> FieldScale:

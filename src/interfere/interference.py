@@ -257,14 +257,15 @@ def intensity(rho, phases, k=None) -> float:
     which is at least ``-N * PSD_TOL`` for every accepted state and every
     phase vector, since ``|v|**2 = N`` for ``v = exp(-i phi)``; the value
     returned can be lower by the sum's rounding, which
-    :class:`IntensityPattern` derives and allows.
+    :class:`IntensityPattern` derives and allows.  A scaled value that
+    overflows raises ``DomainError``.
     """
     rho = as_density(rho)
     phases = as_phases(phases)
     if phases.n != int(rho.n):
         raise DimensionError(f"{phases.n} phases for {int(rho.n)} sources")
     value = _intensity_given_phases(float(rho.populations.sum()), rho.pairs, phases.phases)[0]
-    return float(as_scale(k).intensity_scale * value)
+    return float(as_scale(k).scaled(value))
 
 
 def _path_phases(geometry: DetectionGeometry, positions: np.ndarray) -> np.ndarray:

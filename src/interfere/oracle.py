@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import (
     DimensionError,
+    DomainError,
     ModeCount,
     PhaseConfig,
     _check_index,
@@ -133,11 +134,15 @@ def oracle_intensity(rho, phases, k=None) -> float:
 
     Builds the field operator as a matrix and evaluates
     ``Tr(E_minus @ E_plus @ rho)`` on the embedded state, with no use of
-    the closed-form intensity expression.
+    the closed-form intensity expression.  A field scale that makes the
+    trace overflow raises ``DomainError``.
     """
     rho = as_density(rho)
     space = FockSpace(rho.n)
     e_plus = field_operator(space, phases, k)
     e_minus = e_plus.conj().T
-    value = trace_correlation(embed(rho), [e_minus, e_plus])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = trace_correlation(embed(rho), [e_minus, e_plus])
+    if not np.isfinite(value):
+        raise DomainError(f"field scale {k!r} overflows the oracle's trace")
     return float(value.real)

@@ -198,7 +198,7 @@ def test_criterion_7_cli_golden_files(capsys):
     mismatched = []
     for argv, fixture in cases:
         proc = subprocess.run(
-            [sys.executable, "-m", "interfere", *argv],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "interfere", *argv],
             capture_output=True,
             cwd=REPO,
         )

@@ -24,11 +24,12 @@ TWO_SLIT_GEOMETRY = {
 
 
 def run(*args, env_extra=None):
+    # The child turns numpy's RuntimeWarnings into errors, as the suite does.
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "interfere", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "interfere", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -64,6 +65,12 @@ class TestValidate:
         report = json.loads(proc.stdout)
         assert not report["ok"]
         assert report["trace_dev"] == pytest.approx(0.1, abs=1e-12)
+
+    def test_finite_entries_whose_checks_overflow_give_the_report_alone(self, tmp_path):
+        doc = {"rho": [[[1e308, 0.0], [-1e308, 0.0]], [[1e308, 0.0], [1e308, 0.0]]]}
+        proc = run("validate", "--config", config_file(tmp_path, doc))
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout) == {"hermitian": False, "trace_dev": None, "min_eig": None, "ok": False}
 
     def test_overflowing_amplitudes_give_one_error_line(self, tmp_path):
         doc = {"amplitudes": [[1e200, 0.0], [1e200, 0.0]], "p_id": 0.5}

@@ -23,6 +23,9 @@ from interfere import (
     validate_density,
 )
 
+# The pure equal two-source state.
+HALF = np.full((2, 2), 0.5)
+
 
 class TestModeCount:
     def test_accepts_two_or_more(self):
@@ -70,6 +73,10 @@ class TestAmplitudes:
     def test_normalized_rejects_zero_vector(self):
         with pytest.raises(NormalizationError):
             Amplitudes.normalized([0.0, 0.0])
+
+    def test_normalized_rejects_a_finite_vector_whose_norm_overflows(self):
+        with pytest.raises(NormalizationError, match="^cannot normalize a vector whose norm overflows$"):
+            Amplitudes.normalized([1e308, 1e308])
 
     def test_overflowing_square_sum_fails_normalization(self):
         with pytest.raises(NormalizationError, match="^amplitudes square-sum to inf"):
@@ -122,6 +129,15 @@ class TestValidateDensity:
         rho[0, 1] = np.nan
         report = validate_density(rho)
         assert not report.ok
+
+    def test_finite_entries_whose_checks_overflow_report_not_ok(self):
+        # The difference, trace and Hermitian part of these finite entries
+        # overflow; the report says so without a warning or an eigvalsh call.
+        report = validate_density([[1e308, -1e308], [1e308, 1e308]])
+        assert (report.hermitian, report.trace_dev, report.ok) == (False, np.inf, False)
+        assert np.isnan(report.min_eig)
+        with pytest.raises(InvalidDensityMatrixError, match="hermitian=False, trace_dev=inf, min_eig=nan$"):
+            DensityMatrix([[1e308, -1e308], [1e308, 1e308]])
 
     def test_tolerance_override_loosens_trace(self):
         rho = np.diag([0.55, 0.5]).astype(complex)
@@ -227,6 +243,23 @@ class TestFieldScale:
         with pytest.raises(DomainError, match="^field scale must have"):
             readout(1e155)
         assert np.isfinite(readout(1e154))
+
+    @pytest.mark.parametrize(
+        ("readout", "k", "match"),
+        [
+            (lambda k: intensity(HALF, [0.0, 0.0], k=k), 1e154, r"^\|k\|\*\*2 = 1e\+308 times 2\.0 overflows$"),
+            (lambda k: oracle_intensity(HALF, [0.0, 0.0], k=k), 1e154, r"^field scale 1e\+154 overflows"),
+            # An accepted population may exceed 1 by the trace tolerance, and
+            # |k|**2 here is within an ulp of the largest float.
+            (lambda k: big_g1(np.diag([1.0 + 5e-10, 0.0]), 0, 0, k=k), 1.3407807929942596e154, "overflows$"),
+        ],
+        ids=["intensity", "oracle_intensity", "big_g1"],
+    )
+    def test_scaled_result_that_overflows_is_a_domain_error(self, readout, k, match):
+        # |k|**2 is finite, but the readout times it is not.
+        assert np.isfinite(FieldScale(k).intensity_scale)
+        with pytest.raises(DomainError, match=match):
+            readout(k)
 
     def test_as_scale_none_means_unit(self):
         assert as_scale(None).intensity_scale == 1.0
