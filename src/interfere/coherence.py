@@ -51,7 +51,7 @@ def big_g1(rho, i: int, j: int, k=None) -> complex:
     """
     rho = as_density(rho)
     i, j = (_check_index(idx, rho.n, "source") for idx in (i, j))
-    return complex(as_scale(k).scaled(rho.entries[j, i]))
+    return as_scale(k).scaled(complex(rho.entries[j, i]))
 
 
 def g1(rho, i: int, j: int) -> complex:

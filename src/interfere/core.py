@@ -18,6 +18,7 @@ All types are frozen and carry read-only arrays, so instances can be
 shared freely between concurrent tasks.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -337,11 +338,10 @@ class FieldScale:
         return abs(self.k) ** 2
 
     def scaled(self, value):
-        """``|k|**2 * value``; ``DomainError`` when that is not finite."""
-        with np.errstate(over="ignore"):
-            product = self.intensity_scale * value
-        if not np.isfinite(product):
-            raise DomainError(f"|k|**2 = {self.intensity_scale!r} times {value} overflows")
+        """``|k|**2 * value`` for a Python float or complex; ``DomainError`` when that is not finite."""
+        product = self.intensity_scale * value  # Python arithmetic: an overflow is inf, not a warning
+        if not cmath.isfinite(product):
+            raise DomainError(f"|k|**2 = {self.intensity_scale!r} times {value!r} overflows")
         return product
 
 

@@ -265,7 +265,7 @@ def intensity(rho, phases, k=None) -> float:
     if phases.n != int(rho.n):
         raise DimensionError(f"{phases.n} phases for {int(rho.n)} sources")
     value = _intensity_given_phases(float(rho.populations.sum()), rho.pairs, phases.phases)[0]
-    return float(as_scale(k).scaled(value))
+    return as_scale(k).scaled(float(value))
 
 
 def _path_phases(geometry: DetectionGeometry, positions: np.ndarray) -> np.ndarray:

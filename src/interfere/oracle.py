@@ -19,6 +19,7 @@ is written as that one row, entry for entry the same matrix as the summed
 ladder operators, and the trace still takes the literal dense products.
 """
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -143,6 +144,6 @@ def oracle_intensity(rho, phases, k=None) -> float:
     e_minus = e_plus.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
         value = trace_correlation(embed(rho), [e_minus, e_plus])
-    if not np.isfinite(value):
+    if not cmath.isfinite(value):
         raise DomainError(f"field scale {k!r} overflows the oracle's trace")
     return float(value.real)
