@@ -284,19 +284,20 @@ def test_no_extremum_is_examined_before_sweep_four(n, monkeypatch):
 def test_only_a_converged_polish_opens_an_extremum(monkeypatch):
     # An extremum settles only after its last polish converged: at N = 24,
     # settling rows against a best row that is still moving stops rows that
-    # would have found a lower minimum.  An extremum's matrix, rho or -rho,
-    # has the sign of its trace.
+    # would have found a lower minimum.
     polish, settle, calls = interference._polish, interference._settle, []
+
+    def sense(m):
+        # An extremum's matrix, rho or -rho, has the sign of its trace.
+        return np.sign(m.trace().real)
 
     def polished(m, fields, values, row, noise):
         slope = polish(m, fields, values, row, noise)
-        calls.append(("polish", np.sign(m.trace().real), slope <= noise))
+        calls.append(("polish", sense(m), slope <= noise))
         return slope
 
     monkeypatch.setattr(interference, "_polish", polished)
-    monkeypatch.setattr(
-        interference, "_settle", lambda *args: calls.append(("settle", np.sign(args[0].trace().real))) or settle(*args)
-    )
+    monkeypatch.setattr(interference, "_settle", lambda *args: calls.append(("settle", sense(args[0]))) or settle(*args))
     rng = np.random.default_rng(4024)
     a = rng.normal(size=(24, 24)) + 1j * rng.normal(size=(24, 24))
     rho = a @ a.conj().T
