@@ -321,15 +321,15 @@ def _descend(entries, fields, values, sense, going, sweeps):
 
     ``fields`` holds one column of unit fields ``v = exp(-i phi)`` per row
     (v[0] stays 1) and ``values`` each row's ``v^H m v``, ``m = sense * rho``
-    (+1 to maximize, -1 to minimize), both updated in place.  The objective
-    depends on one ``v_m`` only through ``Re(conj(v_m) w)`` with the field
-    sum ``w = sum_{j != m} 2 rho_mj v_j`` (one matrix-vector product for all
-    rows), so each update is the closed form ``v_m = sense * w / |w|``:
-    kept where ``w == 0``, divided part by part so a subnormal ``|w|``
-    cannot overflow.  A row stops once a sweep raises its value by no more
-    than ``_REFINE_STOP``; returns the mask of rows still going.
-    :func:`_scan_extrema` holds the sweep schedule and the ``_MAX_SWEEPS``
-    cap, and reads the extrema from ``fields``.
+    (+1 to maximize, -1 to minimize).  The objective depends on one ``v_m``
+    only through ``Re(conj(v_m) w)`` with the field sum ``w = sum_{j != m}
+    2 rho_mj v_j`` (one matrix-vector product for all rows), so each update
+    is the closed form ``v_m = sense * w / |w|``: kept where ``w == 0``,
+    divided part by part so a subnormal ``|w|`` cannot overflow.  A row
+    stops once a sweep raises its value by no more than ``_REFINE_STOP``.
+    All three arrays change in place, ``going`` cleared where a row stops,
+    so each extremum's views in :func:`_scan_extrema` see every step; it
+    holds the sweep schedule and the ``_MAX_SWEEPS`` cap.
     """
     coef = 2.0 * (entries - np.diag(entries.diagonal()))
     updates = list(enumerate(coef))[1:]
@@ -346,19 +346,21 @@ def _descend(entries, fields, values, sense, going, sweeps):
             else:
                 np.divide(w.real, size, out=real[m], where=(live := size != 0.0))
                 np.divide(w.imag, size, out=imag[m], where=live)
-        current = sign * (moving.conj() * (entries @ moving)).real.sum(0)
+        current = sign * _multipliers(entries, moving).sum(0)
         still = current - values[rows] > _REFINE_STOP
         values[rows] = current
         if not still.all():
-            fields[:, rows] = moving
+            fields[:, rows], going[rows[~still]] = moving, False
             rows, moving, sign = rows[still], moving.compress(still, 1), sign[still]
             real, imag = moving.real, moving.imag
             if not rows.size:
                 break
     fields[:, rows] = moving
-    going = np.zeros_like(going)
-    going[rows] = True
-    return going
+
+
+def _multipliers(m, fields):
+    """``Re(conj(v_i) (m v)_i)`` per entry of each field ``v``; they sum to ``v^H m v``."""
+    return (fields.conj() * (m @ fields)).real
 
 
 def _dual_bound(m, field) -> float:
@@ -372,7 +374,7 @@ def _dual_bound(m, field) -> float:
     ``N eps sum |y|`` plus ``N^2 eps`` times the spectral radius, covers
     the rounding of the sum and of ``eigvalsh``.
     """
-    y = (field.conj() * (m @ field)).real
+    y = _multipliers(m, field)
     spectrum = np.linalg.eigvalsh(m - np.diag(y))
     n = len(y)
     allowance = n * np.finfo(float).eps * (np.abs(y).sum() + n * np.abs(spectrum).max())
@@ -429,38 +431,36 @@ def _polish(m, fields, values, row, noise):
     return slope
 
 
-def _settle(m, fields, values, rows, best):
-    """Newton endgame for the rows ``rows`` of an open extremum; returns the mask of rows that stop.
+def _settle(m, fields, values, going):
+    """Newton endgame, in place, on one open extremum's views of its rows.
 
-    One pass of the module docstring's open-extremum rule.  ``best`` is the
-    extremum's best value so far, in units of ``v^H m v``.  A row
-    whose Hessian is not definite goes back to the sweeps.  At a definite
-    one, the Newton decrement ``delta = -g^T H^-1 g / 2`` is what a Newton
-    step would gain on the quadratic model; a row stops if even ``delta``
-    above its value trails ``best``.  The other rows take the Newton step,
-    in place; a step that lowers the value is undone and sends its row back
-    to the sweeps.  Rows go in blocks of at most ``_KERNEL_BLOCK / N^2``, so
-    the ``(rows, N, N)`` derivatives stay within a fixed size.
+    One pass of the module docstring's open-extremum rule on the rows
+    ``going``, with ``values`` in units of ``v^H m v``.  A row whose Hessian
+    is not definite goes back to the sweeps.  At a definite one, the Newton
+    decrement ``delta = -g^T H^-1 g / 2`` is what a Newton step would gain
+    on the quadratic model; a row stops, its ``going`` entry cleared, if
+    even ``delta`` above its value trails the best of ``values``.  The other
+    rows take the Newton step; a step that lowers the value is undone and
+    sends its row back to the sweeps.  Rows go in blocks of at most
+    ``_KERNEL_BLOCK / N^2``, so the ``(rows, N, N)`` derivatives stay within
+    a fixed size.
     """
-    stop = np.zeros(len(rows), bool)
-    block = _block_rows(m.size)
+    rows, best, block = np.flatnonzero(going), values.max(), _block_rows(m.size)
     for first in range(0, len(rows), block):
-        examined = np.arange(first, min(first + block, len(rows)))
-        value, gradient, hessian = _torus_derivatives(m, fields[:, rows[examined]])
+        examined = rows[first:first + block]
+        value, gradient, hessian = _torus_derivatives(m, fields[:, examined])
         curvature = np.linalg.eigvalsh(hessian)
         definite = curvature[:, -1] < -_FLAT * np.abs(curvature).max(1)
         examined, value, gradient = examined[definite], value[definite], gradient[definite]
         newton = np.linalg.solve(hessian[definite], gradient[:, :, None])[:, :, 0]
         decrement = -0.5 * (gradient * newton).sum(1)
         done = value + decrement < best
-        stop[examined[done]] = True
+        going[examined[done]] = False
         examined, value, newton = examined[~done], value[~done], newton[~done]
-        trial = fields[:, rows[examined]] * np.vstack([np.ones(len(examined)), np.exp(1j * newton.T)])
-        reached = (trial.conj() * (m @ trial)).real.sum(0)
+        trial = fields[:, examined] * np.vstack([np.ones(len(examined)), np.exp(1j * newton.T)])
+        reached = _multipliers(m, trial).sum(0)
         raised = reached >= value
-        examined = examined[raised]
-        fields[:, rows[examined]], values[rows[examined]] = trial[:, raised], reached[raised]
-    return stop
+        fields[:, examined[raised]], values[examined[raised]] = trial[:, raised], reached[raised]
 
 
 def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
@@ -490,35 +490,32 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     seeded[3:, 1:] = np.random.default_rng(settings.seed).uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
     sense = np.repeat([1.0, -1.0], count)
     fields = np.exp(-1j * np.concatenate([seeded, seeded])).T.copy()
-    values = sense * (fields.conj() * (rho.entries @ fields)).real.sum(0)
-    # Per extremum, in units of v^H m v: the best row value examined so far,
-    # the least bound, and whether it is open.
-    tried, bounds, opened = [-np.inf] * 2, [np.inf] * 2, [False] * 2
-    matrices = (rho.entries, -rho.entries)
-    noise = n * np.finfo(float).eps * np.abs(rho.entries).sum()  # rounding of v^H rho v
+    values = sense * _multipliers(rho.entries, fields).sum(0)
     swept, going = 0, np.ones(values.shape, bool)
+    # Per extremum, m and views of its rows, which every step updates in place; in units
+    # of v^H m v, the best row value examined so far, the least bound, and whether it is open.
+    extrema = [(m, fields[:, half], values[half], going[half])
+               for m, half in ((rho.entries, slice(count)), (-rho.entries, slice(count, None)))]
+    tried, bounds, opened = [-np.inf] * 2, [np.inf] * 2, [False] * 2
+    noise = n * np.finfo(float).eps * np.abs(rho.entries).sum()  # rounding of v^H rho v
     while going.any() and swept < _MAX_SWEEPS:
         # Stages of 4, 4, 8 and 16 sweeps, then of _STAGE_CAP up to _MAX_SWEEPS.
         stage = min(max(swept, 4), _STAGE_CAP, _MAX_SWEEPS - swept)
-        going = _descend(rho.entries, fields, values, sense, going, stage)
+        _descend(rho.entries, fields, values, sense, going, stage)
         swept += stage
-        for k, m in enumerate(matrices):
-            own = slice(k * count, (k + 1) * count)
+        for k, (m, own_fields, own_values, own_going) in enumerate(extrema):
             if opened[k]:
-                rows = k * count + np.flatnonzero(going[own])
-                stop = _settle(m, fields, values, rows, float(values[own].max()))
-                going[rows[stop]] = False
-            best = k * count + int(np.argmax(values[own]))
-            if values[best] <= tried[k] + _OPEN_GAP:
+                _settle(m, own_fields, own_values, own_going)
+            best = int(np.argmax(own_values))
+            if own_values[best] <= tried[k] + _OPEN_GAP:
                 continue
-            slope = _polish(m, fields, values, best, noise)
-            tried[k] = values[best]
-            bounds[k] = min(bounds[k], _dual_bound(m, fields[:, best]))
+            slope = _polish(m, own_fields, own_values, best, noise)
+            tried[k] = own_values[best]
+            bounds[k] = min(bounds[k], _dual_bound(m, own_fields[:, best]))
             opened[k] = slope <= noise and bounds[k] - tried[k] > _CERTIFIED_GAP
             if bounds[k] - tried[k] <= _CERTIFIED_GAP:
-                going[own] = False
-    off = rho.entries - np.diag(rho.entries.diagonal())
-    reached = base + (fields.conj() * (off @ fields)).real.sum(0)
+                own_going[:] = False
+    reached = base + _multipliers(rho.entries - np.diag(rho.entries.diagonal()), fields).sum(0)
     return float(reached[:count].max()), float(reached[count:].min()), bounds[0], -bounds[1]
 
 

@@ -318,7 +318,7 @@ def test_settle_memory_is_bounded_by_the_block(monkeypatch):
     # derivatives holds at most _KERNEL_BLOCK products, however many rows.
     derivatives, batches = interference._torus_derivatives, []
     settle, settled = interference._settle, []
-    monkeypatch.setattr(interference, "_settle", lambda *args: settled.append(len(args[3])) or settle(*args))
+    monkeypatch.setattr(interference, "_settle", lambda *args: settled.append(int(args[3].sum())) or settle(*args))
     monkeypatch.setattr(
         interference, "_torus_derivatives", lambda m, f: batches.append(f.shape[1] * m.size) or derivatives(m, f)
     )
