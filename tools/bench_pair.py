@@ -20,10 +20,11 @@ the pairs where the change is better, the median ratio, failed ops and
 correctness) above every pair's last output line.  Quartiles are numpy's
 default (``statistics.quantiles`` with the inclusive method).  A ``host`` key
 beside ``about`` names what moves bits and speed on this machine: numpy's
-version, the SIMD targets it found (as ``numpy.show_runtime`` lists them) and
-any ``NPY_DISABLE_CPU_FEATURES`` or ``OPENBLAS_CORETYPE`` in the environment.
-The OpenBLAS core itself is not recorded: reading it needs ``threadpoolctl``,
-which is not a dependency.  The script exits 1 when any run is not
+version, the SIMD targets it found (as ``numpy.show_runtime`` lists them), the
+OpenBLAS core it loaded (``Core: <name>``, which ``OPENBLAS_VERBOSE=2`` prints
+to stderr as numpy loads; null when nothing is printed) and any
+``NPY_DISABLE_CPU_FEATURES`` or ``OPENBLAS_CORETYPE`` in the environment.
+The script exits 1 when any run is not
 ``correct: true`` or gave no result, 0 otherwise.  Standard library only; numpy
 is read in a child process.
 """
@@ -63,9 +64,15 @@ def export(rev: str, into: Path) -> dict:
 
 
 def host() -> dict:
-    """numpy's version and SIMD targets found, and the environment that steers them."""
-    found = json.loads(subprocess.run([sys.executable, "-c", SIMD_PROBE], check=True, capture_output=True).stdout)
-    return {**found, "env": {name: os.environ[name] for name in HOST_ENV if name in os.environ}}
+    """numpy's version, SIMD targets found and OpenBLAS core, and the environment that steers them."""
+    probe = subprocess.run(
+        [sys.executable, "-c", SIMD_PROBE], env={**os.environ, "OPENBLAS_VERBOSE": "2"},
+        check=True, capture_output=True, text=True,
+    )
+    cores = [line.split(":", 1)[1].strip() for line in probe.stderr.splitlines() if line.startswith("Core:")]
+    found = json.loads(probe.stdout)
+    return {**found, "openblas_core": cores[0] if cores else None,
+            "env": {name: os.environ[name] for name in HOST_ENV if name in os.environ}}
 
 
 def run_side(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, int]:
