@@ -141,10 +141,15 @@ class Amplitudes:
     def normalized(cls, values) -> "Amplitudes":
         """Build amplitudes from an unnormalized vector by exact rescaling."""
         vals = np.asarray(values, dtype=complex)
-        with np.errstate(over="ignore"):  # a finite vector's norm can overflow to inf
+        with np.errstate(over="ignore"):  # a finite vector's squares can overflow to inf
             norm = float(np.linalg.norm(vals))
         if norm == math.inf and np.isfinite(vals).all():
-            raise NormalizationError("cannot normalize a vector whose norm overflows")
+            # Scaled by its largest part first, the norm overflows only beyond float range.
+            scale = float(np.abs(np.stack([vals.real, vals.imag])).max())
+            vals = vals / scale
+            norm = float(np.linalg.norm(vals))
+            if scale * norm == math.inf:  # Python arithmetic: an overflow is inf, not a warning
+                raise NormalizationError("cannot normalize a vector whose norm overflows")
         if norm == 0.0 or not np.isfinite(norm):
             raise NormalizationError("cannot normalize a zero or non-finite vector")
         return cls(vals / norm)
@@ -180,8 +185,8 @@ def validate_density(rho, tol: float | None = None) -> ValidationReport:
     (``HERMITIAN_TOL``, ``TRACE_TOL``, ``PSD_TOL``); passing a single
     ``tol`` applies it to all three.  ``min_eig`` is the smallest
     eigenvalue of the Hermitian part of the input, which coincides with
-    the spectrum whenever the Hermiticity check passes, and NaN when that
-    part overflows; a check that overflows fails.
+    the spectrum whenever the Hermiticity check passes; a sum that would
+    overflow is taken halves first.  A check that overflows fails.
     """
     entries = np.asarray(rho, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -201,7 +206,9 @@ def validate_density(rho, tol: float | None = None) -> ValidationReport:
         hermitian = bool(np.max(np.abs(entries - entries.conj().T)) <= hermitian_tol)
         trace_dev = float(abs(np.trace(entries) - 1.0))
         part = (entries + entries.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(part)[0]) if np.isfinite(part).all() else float("nan")
+    if not np.isfinite(part).all():
+        part = entries / 2.0 + entries.conj().T / 2.0  # halves of finite parts: their sum is finite
+    min_eig = float(np.linalg.eigvalsh(part)[0])
     ok = hermitian and trace_dev <= trace_tol and min_eig >= -psd_tol
     return ValidationReport(hermitian, trace_dev, min_eig, ok)
 

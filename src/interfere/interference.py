@@ -250,6 +250,16 @@ def _intensity_given_phases(base: float, pairs: PairTable, phases) -> np.ndarray
     return terms.sum(0) if columns.shape[1] > 1 else np.add.accumulate(terms)[-1]
 
 
+def _phase_values(rho: DensityMatrix, phases) -> np.ndarray:
+    """``phases`` for ``rho``'s sources; ``DomainError`` when a difference of two overflows."""
+    phi = as_phases(phases).phases
+    if phi.shape[0] != int(rho.n):
+        raise DimensionError(f"{phi.shape[0]} phases for {int(rho.n)} sources")
+    if not math.isfinite(float(phi.max()) - float(phi.min())):  # Python arithmetic: no warning
+        raise DomainError(f"the differences of phases {phi.tolist()} overflow")
+    return phi
+
+
 def intensity(rho, phases, k=None) -> float:
     """Detection probability at one point, scaled by ``|k|**2``.
 
@@ -257,14 +267,11 @@ def intensity(rho, phases, k=None) -> float:
     which is at least ``-N * PSD_TOL`` for every accepted state and every
     phase vector, since ``|v|**2 = N`` for ``v = exp(-i phi)``; the value
     returned can be lower by the sum's rounding, which
-    :class:`IntensityPattern` derives and allows.  A scaled value that
-    overflows raises ``DomainError``.
+    :class:`IntensityPattern` derives and allows.  Phases whose differences
+    overflow, and a scaled value that overflows, raise ``DomainError``.
     """
     rho = as_density(rho)
-    phases = as_phases(phases)
-    if phases.n != int(rho.n):
-        raise DimensionError(f"{phases.n} phases for {int(rho.n)} sources")
-    value = _intensity_given_phases(float(rho.populations.sum()), rho.pairs, phases.phases)[0]
+    value = _intensity_given_phases(float(rho.populations.sum()), rho.pairs, _phase_values(rho, phases))[0]
     return as_scale(k).scaled(float(value))
 
 
@@ -552,19 +559,17 @@ def born_residual(rho, phases) -> float:
     sources blocked, nothing renormalized) and a single-source intensity
     is just its population.  The intensity law is bilinear, so the
     combination vanishes identically; any nonzero value is roundoff.
-    Raises :class:`DimensionError` for N < 3 or a wrong phase count.
+    Raises :class:`DimensionError` for N < 3 or a wrong phase count, and
+    :class:`DomainError` for phases whose differences overflow.
     """
     rho = as_density(rho)
     n = int(rho.n)
     if n < 3:
         raise DimensionError(f"born residual requires N >= 3 sources, got {n}")
-    phases = as_phases(phases)
-    if phases.n != n:
-        raise DimensionError(f"{phases.n} phases for {n} sources")
+    phi = _phase_values(rho, phases)
 
     pairs = rho.pairs
     pops = rho.populations
-    phi = phases.phases
     singles = float(pops.sum())
     full = float(_intensity_given_phases(singles, pairs, phi)[0])
     pair_intensities = (pops[pairs.i] + pops[pairs.j]) + 2.0 * pairs.modulus * np.cos(

@@ -70,7 +70,7 @@ class TestValidate:
         doc = {"rho": [[[1e308, 0.0], [-1e308, 0.0]], [[1e308, 0.0], [1e308, 0.0]]]}
         proc = run("validate", "--config", config_file(tmp_path, doc))
         assert proc.returncode == 1 and proc.stderr == ""
-        assert json.loads(proc.stdout) == {"hermitian": False, "trace_dev": None, "min_eig": None, "ok": False}
+        assert json.loads(proc.stdout) == {"hermitian": False, "trace_dev": None, "min_eig": 1e308, "ok": False}
 
     def test_overflowing_amplitudes_give_one_error_line(self, tmp_path):
         doc = {"amplitudes": [[1e200, 0.0], [1e200, 0.0]], "p_id": 0.5}

@@ -75,8 +75,15 @@ class TestAmplitudes:
             Amplitudes.normalized([0.0, 0.0])
 
     def test_normalized_rejects_a_finite_vector_whose_norm_overflows(self):
+        # The norm, 1.7e308 * sqrt(2), is beyond float range.
         with pytest.raises(NormalizationError, match="^cannot normalize a vector whose norm overflows$"):
-            Amplitudes.normalized([1e308, 1e308])
+            Amplitudes.normalized([1.7e308, 1.7e308])
+
+    @pytest.mark.parametrize("values", [[1e200, 1e200], [1e308, 1e308j], [-1.2e308, 1.2e308]])
+    def test_normalized_rescales_a_finite_vector_whose_squares_overflow(self, values):
+        # The squares overflow but the norm, at most 1.7e308, does not.
+        expected = np.array(values) / np.abs(values[0])
+        np.testing.assert_allclose(Amplitudes.normalized(values).values, expected / np.sqrt(2), rtol=1e-15)
 
     def test_overflowing_square_sum_fails_normalization(self):
         with pytest.raises(NormalizationError, match="^amplitudes square-sum to inf"):
@@ -131,13 +138,18 @@ class TestValidateDensity:
         assert not report.ok
 
     def test_finite_entries_whose_checks_overflow_report_not_ok(self):
-        # The difference, trace and Hermitian part of these finite entries
-        # overflow; the report says so without a warning or an eigvalsh call.
+        # The difference and trace of these finite entries overflow, and so would
+        # the sum in their Hermitian part, diag(1e308, 1e308), which is taken halves
+        # first; the report says so without a warning.
         report = validate_density([[1e308, -1e308], [1e308, 1e308]])
         assert (report.hermitian, report.trace_dev, report.ok) == (False, np.inf, False)
-        assert np.isnan(report.min_eig)
-        with pytest.raises(InvalidDensityMatrixError, match="hermitian=False, trace_dev=inf, min_eig=nan$"):
+        assert report.min_eig == 1e308
+        with pytest.raises(InvalidDensityMatrixError, match=r"hermitian=False, trace_dev=inf, min_eig=1\.000e\+308$"):
             DensityMatrix([[1e308, -1e308], [1e308, 1e308]])
+
+    def test_min_eig_of_a_hermitian_input_whose_part_sum_overflows(self):
+        report = validate_density([[1e308, 0.0], [0.0, -1e308]])
+        assert (report.hermitian, report.trace_dev, report.min_eig, report.ok) == (True, 1.0, -1e308, False)
 
     def test_tolerance_override_loosens_trace(self):
         rho = np.diag([0.55, 0.5]).astype(complex)

@@ -20,6 +20,7 @@ from interfere import (
     g1,
     intensity,
     mix,
+    oracle_intensity,
     pattern,
     phases_from_geometry,
     validate_density,
@@ -88,6 +89,14 @@ class TestIntensity:
         ang = np.angle(rho.entries[0, 1])
         top = intensity(rho, [0.0, ang])
         assert top == pytest.approx(1.0 + 2.0 * abs(rho.entries[0, 1]), abs=1e-12)
+
+    def test_phases_whose_differences_overflow_are_a_domain_error(self):
+        # 1e308 - (-1e308) overflows: a domain error that names the phases, with no
+        # numpy warning; the oracle, which takes no difference, still answers.
+        rho, phases = np.full((3, 3), 1 / 3), [1e308, -1e308, 0.0]
+        with pytest.raises(DomainError, match=r"^the differences of phases \[1e\+308, -1e\+308, 0\.0\] overflow$"):
+            intensity(rho, phases)
+        assert np.isfinite(oracle_intensity(rho, phases))
 
 
 class TestDetectionGeometry:
@@ -535,6 +544,10 @@ class TestBornResidual:
     def test_phase_count_mismatch(self):
         with pytest.raises(DimensionError):
             born_residual(mix(equal_model(3, 1.0)), [0.0, 1.0])
+
+    def test_phases_whose_differences_overflow_are_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"^the differences of phases \[1e\+308, -1e\+308, 0\.0\] overflow$"):
+            born_residual(np.full((3, 3), 1 / 3), [1e308, -1e308, 0.0])
 
 
 class TestMandelAgreement:
