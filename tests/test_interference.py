@@ -228,11 +228,15 @@ class TestPattern:
         # States whose eigenvalue -PSD_TOL (1 - 2e-8) has the eigenvector exp(-i phi) / sqrt(N)
         # of the screen's centre: an intensity of -N * PSD_TOL there, up to the kernel's rounding,
         # which takes some of them below -N * PSD_TOL.  Each accepted state gives a pattern.
+        # Which draws are accepted and dip turns on the rounding of LAPACK's QR and of the
+        # BLAS product, which changes with the OpenBLAS core; so at least 20 draws run, then
+        # more until one dips, up to 200.  On the SkylakeX, Haswell, SandyBridge, Nehalem and
+        # Prescott cores, 18-35 of the first 200 draws dip at each N, the first by draw 24.
         geometry = DetectionGeometry(np.linspace(-5e-6, 5e-6, n), 1.0, 5e-7)
         dark = np.exp(-1j * phases_from_geometry(geometry, 0.0).phases) / np.sqrt(n)
         rng = np.random.default_rng(1)
         centres = []
-        for _ in range(20):
+        for drawn in range(1, 201):
             draw = rng.normal(size=(n, n - 1)) + 1j * rng.normal(size=(n, n - 1))
             basis = np.linalg.qr(np.column_stack([dark, draw]))[0]
             basis[:, 0] = dark
@@ -242,6 +246,8 @@ class TestPattern:
             entries = (basis * weights) @ basis.conj().T
             if validate_density(entries).ok:
                 centres.append(pattern(DensityMatrix(entries), geometry, -0.05, 0.05, 3).intensities[1])
+            if drawn >= 20 and min(centres, default=0.0) < -n * PSD_TOL:
+                break
         assert min(centres) < -n * PSD_TOL
 
     def test_oversized_sampling_rejected_before_allocating(self, monkeypatch):
