@@ -17,6 +17,10 @@ Six subcommands, one job each:
 ``born-check``
     Max absolute pairwise-decomposition residual over sampled phases.
 
+Each handler returns its report text and exit code; ``main`` alone writes
+the text, to standard output or to ``--output``, so an error that ends a
+command writes no report.
+
 Exit codes: 0 success, 1 the computation ran but the verdict is negative
 (invalid state, inconsistent readings, residual above tolerance) or any
 other library error, 2 the command never got to a verdict (bad usage,
@@ -69,14 +73,6 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, output: str) -> None:
-    if output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-
-
 def _env_seed() -> int | None:
     raw = os.environ.get("INTERFERE_SEED")
     if raw is None or raw.strip() == "":
@@ -96,88 +92,49 @@ def _tolerance(args, config: ExperimentConfig, default=None):
     return default
 
 
-def cmd_validate(args, config: ExperimentConfig) -> int:
+def _fields(result, *names) -> dict:
+    """``result``'s named fields for a JSON report: flags as they are, numbers through ``_jsonable``."""
+    values = {name: getattr(result, name) for name in names}
+    return {name: value if isinstance(value, bool) else _jsonable(value) for name, value in values.items()}
+
+
+def cmd_validate(args, config: ExperimentConfig) -> tuple[str, int]:
     report = validate_density(config.state_matrix(), tol=_tolerance(args, config))
-    payload = {
-        "hermitian": report.hermitian,
-        "trace_dev": _jsonable(report.trace_dev),
-        "min_eig": _jsonable(report.min_eig),
-        "ok": report.ok,
-    }
-    _emit(_json_text(payload), args.output)
-    return 0 if report.ok else 1
+    return _json_text(_fields(report, "hermitian", "trace_dev", "min_eig", "ok")), 0 if report.ok else 1
 
 
-def cmd_pid(args, config: ExperimentConfig) -> int:
+def cmd_pid(args, config: ExperimentConfig) -> tuple[str, int]:
     tol = _tolerance(args, config)
     report = estimate_pid(config.density(), **({} if tol is None else {"consistency_tol": tol}))
-    payload = {
-        "pairs": [
-            {
-                "i": pair.i + 1,
-                "j": pair.j + 1,
-                "p_ij": _jsonable(pair.p_ij) if pair.defined else None,
-                "defined": pair.defined,
-            }
-            for pair in report.pairs
-        ],
-        "consensus": _jsonable(report.consensus),
-        "spread": _jsonable(report.spread),
-        "consistent": report.consistent,
-        "degenerate": report.degenerate,
-    }
-    _emit(_json_text(payload), args.output)
-    return 0 if report.consistent else 1
+    pairs = [{"i": pair.i + 1, "j": pair.j + 1, **_fields(pair, "p_ij", "defined")} for pair in report.pairs]
+    payload = {"pairs": pairs, **_fields(report, "consensus", "spread", "consistent", "degenerate")}
+    return _json_text(payload), 0 if report.consistent else 1
 
 
-def cmd_coherence(args, config: ExperimentConfig) -> int:
+def cmd_coherence(args, config: ExperimentConfig) -> tuple[str, int]:
     matrix = coherence_matrix(config.density())
-    rows = []
-    for i in range(matrix.entries.shape[0]):
-        for j in range(matrix.entries.shape[1]):
-            entry = matrix.entries[i, j]
-            rows.append(
-                (
-                    str(i + 1),
-                    str(j + 1),
-                    _fmt(entry.real),
-                    _fmt(entry.imag),
-                    _fmt(abs(entry)),
-                    "true" if matrix.defined[i, j] else "false",
-                )
-            )
-    _emit(_csv_text("i,j,re,im,abs,defined", rows), args.output)
-    return 0
+    rows = [
+        (str(i + 1), str(j + 1), _fmt(entry.real), _fmt(entry.imag), _fmt(abs(entry)),
+         "true" if matrix.defined[i, j] else "false")
+        for (i, j), entry in np.ndenumerate(matrix.entries)
+    ]
+    return _csv_text("i,j,re,im,abs,defined", rows), 0
 
 
-def cmd_pattern(args, config: ExperimentConfig) -> int:
+def cmd_pattern(args, config: ExperimentConfig) -> tuple[str, int]:
     if config.geometry is None:
         raise ConfigError("pattern needs a geometry section in the config")
     result = pattern(config.density(), config.geometry, args.x_min, args.x_max, args.samples)
-    rows = [
-        (_fmt(x), _fmt(value))
-        for x, value in zip(result.positions, result.intensities)
-    ]
-    _emit(_csv_text("x_m,intensity", rows), args.output)
-    return 0
+    rows = [(_fmt(x), _fmt(value)) for x, value in zip(result.positions, result.intensities)]
+    return _csv_text("x_m,intensity", rows), 0
 
 
-def cmd_visibility(args, config: ExperimentConfig) -> int:
-    settings = config.scan_settings(env_seed=_env_seed())
-    result = visibility(config.density(), scan=settings)
-    payload = {
-        "formula_v": _jsonable(result.formula_v),
-        "scan_v": _jsonable(result.scan_v),
-        "i_max": _jsonable(result.i_max),
-        "i_min": _jsonable(result.i_min),
-        "sum_g": _jsonable(result.sum_g),
-        "bound": _jsonable(result.bound),
-    }
-    _emit(_json_text(payload), args.output)
-    return 0
+def cmd_visibility(args, config: ExperimentConfig) -> tuple[str, int]:
+    result = visibility(config.density(), scan=config.scan_settings(env_seed=_env_seed()))
+    return _json_text(_fields(result, "formula_v", "scan_v", "i_max", "i_min", "sum_g", "bound")), 0
 
 
-def cmd_born_check(args, config: ExperimentConfig) -> int:
+def cmd_born_check(args, config: ExperimentConfig) -> tuple[str, int]:
     _check_integer("--phase-samples", args.phase_samples, 1)
     check_budget(args.phase_samples, config.n, f"--phase-samples {args.phase_samples}")
     rho = config.density()
@@ -185,8 +142,8 @@ def cmd_born_check(args, config: ExperimentConfig) -> int:
     rng = np.random.default_rng(settings.seed)
     samples = rng.uniform(0.0, 2.0 * np.pi, size=(args.phase_samples, config.n))
     worst = max(abs(born_residual(rho, row)) for row in samples)
-    _emit(_json_text({"max_abs_residual": _jsonable(worst)}), args.output)
-    return 0 if worst <= _tolerance(args, config, _BORN_DEFAULT_TOL) else 1
+    passed = worst <= _tolerance(args, config, _BORN_DEFAULT_TOL)
+    return _json_text({"max_abs_residual": _jsonable(worst)}), 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +188,13 @@ def main(argv=None) -> int:
         tolerance = getattr(args, "tolerance", None)
         if tolerance is not None and not (math.isfinite(tolerance) and tolerance > 0):
             raise ConfigError(f"--tolerance must be a finite positive number, got {tolerance!r}")
-        return args.handler(args, ExperimentConfig.from_path(args.config))
+        text, code = args.handler(args, ExperimentConfig.from_path(args.config))
+        if args.output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        return code
     except (ConfigError, OSError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
