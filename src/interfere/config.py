@@ -52,9 +52,13 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
 def _real(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _complex_pair(value, where: str) -> complex:
@@ -124,12 +128,12 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         try:
             # Reject the NaN/Infinity extension json.loads would accept.
             doc = json.loads(text, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits, or nested too deep
             raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 

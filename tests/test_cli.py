@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,15 @@ EQUAL_THREE = [
     [0.5773502691896258, 0.0],
     [0.5773502691896258, 0.0],
 ]
+THREE_SOURCE = str(Path(__file__).resolve().parents[1] / "configs" / "three_source.json")
+SHORT_TRACE = {"rho": [[[0.45, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.45, 0.0]]]}
+INCONSISTENT = {
+    "rho": [
+        [[0.50, 0.0], [0.25, 0.0], [0.15, 0.0]],
+        [[0.25, 0.0], [0.30, 0.0], [0.10, 0.0]],
+        [[0.15, 0.0], [0.10, 0.0], [0.20, 0.0]],
+    ]
+}
 TWO_SLIT_GEOMETRY = {
     "source_positions": [-5e-6, 5e-6],
     "screen_distance": 1.0,
@@ -414,3 +424,63 @@ def test_negative_seed_is_usage_error(tmp_path, command, flags, env_extra, scan)
     assert proc.stderr.startswith("error: ")
     assert "seed must be at least 0" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"amplitudes": [[1, 0], [0, 0]], "p_id": ' + b"1" * 5000 + b"}",
+        b'{"amplitudes": [[1, 0], [0, 0]], "p_id": 1' + b"0" * 400 + b"}",
+    ],
+    ids=["not-utf8", "nested-too-deep", "too-many-digits", "beyond-float-range"],
+)
+def test_unusable_config_file_is_usage_error(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    proc = run("validate", "--config", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags, code",
+    [
+        ("validate", SHORT_TRACE, (), 1),
+        ("pid", INCONSISTENT, (), 1),
+        ("coherence", None, (), 0),
+        ("pattern", None, ("--samples", "11"), 0),
+        ("visibility", None, (), 0),
+        ("born-check", None, ("--tolerance", "1e-300"), 1),
+    ],
+    ids=["validate", "pid", "coherence", "pattern", "visibility", "born-check"],
+)
+def test_output_file_holds_what_stdout_shows(tmp_path, command, doc, flags, code):
+    config = THREE_SOURCE if doc is None else config_file(tmp_path, doc)
+    out_file = tmp_path / "report.out"
+    shown = run(command, "--config", config, *flags)
+    written = run(command, "--config", config, *flags, "--output", str(out_file))
+    assert shown.returncode == written.returncode == code
+    assert written.stdout == written.stderr == ""
+    assert out_file.read_bytes() == shown.stdout.encode()
+
+    broken = tmp_path / "broken.json"
+    broken.write_text("{", encoding="utf-8")
+    unwritten = tmp_path / "unwritten.out"
+    failed = run(command, "--config", str(broken), *flags, "--output", str(unwritten))
+    assert failed.returncode == 2 and failed.stdout == ""
+    assert not unwritten.exists()
+
+    missing = run(command, "--config", config, *flags, "--output", str(tmp_path / "absent" / "report.out"))
+    assert missing.returncode == 2 and missing.stdout == ""
+    assert missing.stderr.startswith("error: ") and missing.stderr.count("\n") == 1
+
+
+def test_pattern_without_geometry_writes_no_output_file(tmp_path, family2):
+    out_file = tmp_path / "pattern.csv"
+    proc = run("pattern", "--config", family2, "--output", str(out_file))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "geometry" in proc.stderr
+    assert not out_file.exists()

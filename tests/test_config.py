@@ -121,6 +121,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="^amplitudes square-sum to inf"):
             ExperimentConfig.from_dict({"amplitudes": [[1e200, 0.0], [1e200, 0.0]], "p_id": 0.5})
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({**FAMILY, "p_id": 10**400}, "p_id"),
+            ({**FAMILY, "tolerance": -(10**400)}, "tolerance"),
+            ({**RHO, "rho": [[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]]}, r"rho\[0\]\[0\]\[0\]"),
+        ],
+        ids=["p_id", "tolerance", "rho"],
+    )
+    def test_integer_beyond_float_range_is_not_finite(self, doc, field):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            ExperimentConfig.from_dict(doc)
+
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"amplitudes": FAMILY["amplitudes"], "p_id": True})
@@ -237,6 +250,21 @@ class TestFromPath:
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError):
+            ExperimentConfig.from_path(path)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xff\xfe{}", "cannot read config"),
+            (b"[" * 100_000 + b"]" * 100_000, "is not valid JSON"),
+            (b'{"p_id": ' + b"1" * 5000 + b"}", "is not valid JSON"),
+        ],
+        ids=["not-utf8", "nested-too-deep", "too-many-digits"],
+    )
+    def test_undecodable_file_is_a_config_error(self, tmp_path, data, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_path(path)
 
     def test_nan_literal_rejected(self, tmp_path):
