@@ -185,8 +185,8 @@ def validate_density(rho, tol: float | None = None) -> ValidationReport:
     (``HERMITIAN_TOL``, ``TRACE_TOL``, ``PSD_TOL``); passing a single
     ``tol`` applies it to all three.  ``min_eig`` is the smallest
     eigenvalue of the Hermitian part of the input, which coincides with
-    the spectrum whenever the Hermiticity check passes; a sum that would
-    overflow is taken halves first.  A check that overflows fails.
+    the spectrum whenever the Hermiticity check passes; that part is summed from
+    halves, so it never overflows.  A check that overflows fails.
     """
     entries = np.asarray(rho, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
@@ -205,9 +205,7 @@ def validate_density(rho, tol: float | None = None) -> ValidationReport:
     with np.errstate(over="ignore", invalid="ignore"):  # finite entries can sum to inf or nan
         hermitian = bool(np.max(np.abs(entries - entries.conj().T)) <= hermitian_tol)
         trace_dev = float(abs(np.trace(entries) - 1.0))
-        part = (entries + entries.conj().T) / 2.0
-    if not np.isfinite(part).all():
-        part = entries / 2.0 + entries.conj().T / 2.0  # halves of finite parts: their sum is finite
+    part = entries / 2.0 + entries.conj().T / 2.0  # halves of finite parts: their sum is finite
     min_eig = float(np.linalg.eigvalsh(part)[0])
     ok = hermitian and trace_dev <= trace_tol and min_eig >= -psd_tol
     return ValidationReport(hermitian, trace_dev, min_eig, ok)
