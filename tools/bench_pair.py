@@ -9,22 +9,27 @@ Each side is exported with ``git archive`` into its own temporary directory,
 so both run from committed files only (their meta lines print git_sha
 unknown).  Each ``--workload W:PAIRS[:SEED]`` (``SEED`` defaults to 1) runs
 PAIRS pairs; pair k runs ``python3 perfbench/run.py --workload W --seed SEED
---seconds T`` once on each side, the parent first in odd-numbered pairs and the change first in
-even-numbered ones.  Nothing under ``perfbench/`` is touched; the metrics
-and their better direction are read from ``BENCHMARK.json``'s
-``end_to_end`` list.
+--seconds T --trace 0`` once on each side, the parent first in odd-numbered
+pairs and the change first in even-numbered ones.  Then one traced pair runs
+the same with ``--trace 1``, the parent first, for the per-layer metrics.
+Nothing under ``perfbench/`` is touched; the metrics and their better
+direction are read from ``BENCHMARK.json``'s ``end_to_end`` and ``per_layer``
+lists.
 
 The output keeps the schema of ``BENCH_20.json``: the two commits with their
 line counts under ``src/``, and per workload a summary (quartiles per side,
 the pairs where the change is better, the median ratio, failed ops and
-correctness) above every pair's last output line.  Quartiles are numpy's
+correctness) above every pair's last output line, and under ``traced`` the
+traced pair's last output lines with a summary of the per-layer metrics that
+read other than 0 on the parent (a workload reports 0 for a layer it never
+calls).  Quartiles are numpy's
 default (``statistics.quantiles`` with the inclusive method).  A ``host`` key
 beside ``about`` names what moves bits and speed on this machine: numpy's
 version, the SIMD targets it found (as ``numpy.show_runtime`` lists them), the
 OpenBLAS core it loaded (``Core: <name>``, which ``OPENBLAS_VERBOSE=2`` prints
 to stderr as numpy loads; null when nothing is printed) and any
 ``NPY_DISABLE_CPU_FEATURES`` or ``OPENBLAS_CORETYPE`` in the environment.
-The script exits 1 when any run is not
+The script exits 1 when any run, traced or not, is not
 ``correct: true`` or gave no result, 0 otherwise.  Standard library only; numpy
 is read in a child process.
 """
@@ -75,9 +80,10 @@ def host() -> dict:
             "env": {name: os.environ[name] for name in HOST_ENV if name in os.environ}}
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: int) -> tuple[dict, int]:
+def run_side(tree: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> tuple[dict, int]:
     """One benchmark run in ``tree``: its last output line and its NOTE count."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     out = done.stdout.splitlines()
     notes = sum(line.startswith("NOTE") for line in out)
@@ -133,7 +139,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         commits = {side: export(rev, trees[side]) for side, rev in zip(SIDES, (args.parent, args.change))}
-        metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+        spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         workloads = []
         for name, count, seed in plan:
             pairs = []
@@ -149,18 +155,25 @@ def main(argv=None) -> int:
                     f"{side} correct={pair[side].get('correct')} "
                     + " ".join(f"{m}={v['value']:.4g}" for m, v in pair[side].get("metrics", {}).items())
                     for side in SIDES), flush=True)
+            traced = {side: run_side(trees[side], name, seed, args.seconds, trace=1)[0] for side in SIDES}
+            read = traced["parent"].get("metrics", {})
+            called = [m for m in spec["per_layer"] if read.get(m["name"], {}).get("value")]
+            print(f"{name} seed {seed} traced pair: " + ", ".join(
+                f"{side} correct={traced[side].get('correct')}" for side in SIDES), flush=True)
             workloads.append({"workload": name, "seed": seed, "seconds": args.seconds,
-                              "summary": summarize(pairs, metrics), "pairs": pairs})
+                              "summary": summarize(pairs, spec["end_to_end"]), "pairs": pairs,
+                              "traced": {"first": "parent", "summary": summarize([traced], called), **traced}})
 
     about = (
-        f"perfbench/run.py --trace 0 --seconds {args.seconds}, parent commit {commits['parent']['sha'][:7]} "
-        f"against change {commits['change']['sha'][:7]}, run alternately (odd-numbered pairs counted from 1 run "
-        f"the parent first) by tools/bench_pair.py on {os.cpu_count()} CPUs, Python {platform.python_version()}. "
+        f"perfbench/run.py --trace 0 --seconds {args.seconds}, then one --trace 1 pair per workload, "
+        f"parent commit {commits['parent']['sha'][:7]} against change {commits['change']['sha'][:7]}, run alternately "
+        f"(odd-numbered pairs counted from 1 run the parent first) by tools/bench_pair.py on {os.cpu_count()} CPUs, Python {platform.python_version()}. "
         "Both sides ran from git-archive copies of their commits, so their meta lines print git_sha unknown."
     )
     report = {"about": f"{args.about} {about}".strip(), "host": machine, **commits, "workloads": workloads}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    ok = all(w["summary"]["correct"][side] for w in workloads for side in SIDES)
+    summaries = [summary for w in workloads for summary in (w["summary"], w["traced"]["summary"])]
+    ok = all(summary["correct"][side] for summary in summaries for side in SIDES)
     print(f"wrote {args.out}; every run correct: {ok}")
     return 0 if ok else 1
 
