@@ -210,18 +210,12 @@ class TestPattern:
         assert min(values) >= 0.0
         assert min(values) <= 1e-3 * max(values)
 
-    def test_requires_geometry(self, family2):
-        proc = run("pattern", "--config", family2)
+    def test_requires_geometry(self, tmp_path, family2):
+        out_file = tmp_path / "pattern.csv"
+        proc = run("pattern", "--config", family2, "--output", str(out_file))
         assert proc.returncode == 2
         assert "geometry" in proc.stderr
-
-    def test_output_file_matches_stdout(self, tmp_path, family2):
-        doc = {"amplitudes": EQUAL_TWO, "p_id": 0.7, "geometry": TWO_SLIT_GEOMETRY}
-        path = config_file(tmp_path, doc)
-        out_file = tmp_path / "pattern.csv"
-        proc = run("pattern", "--config", path, "--samples", "11")
-        run("pattern", "--config", path, "--samples", "11", "--output", str(out_file))
-        assert out_file.read_text(encoding="utf-8") == proc.stdout
+        assert proc.stdout == "" and not out_file.exists()
 
     def test_deterministic_bytes(self, tmp_path):
         doc = {"amplitudes": EQUAL_TWO, "p_id": 0.7, "geometry": TWO_SLIT_GEOMETRY}
@@ -476,11 +470,3 @@ def test_output_file_holds_what_stdout_shows(tmp_path, command, doc, flags, code
     missing = run(command, "--config", config, *flags, "--output", str(tmp_path / "absent" / "report.out"))
     assert missing.returncode == 2 and missing.stdout == ""
     assert missing.stderr.startswith("error: ") and missing.stderr.count("\n") == 1
-
-
-def test_pattern_without_geometry_writes_no_output_file(tmp_path, family2):
-    out_file = tmp_path / "pattern.csv"
-    proc = run("pattern", "--config", family2, "--output", str(out_file))
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "geometry" in proc.stderr
-    assert not out_file.exists()
