@@ -185,8 +185,9 @@ def validate_density(rho, tol: float | None = None) -> ValidationReport:
     (``HERMITIAN_TOL``, ``TRACE_TOL``, ``PSD_TOL``); passing a single
     ``tol`` applies it to all three.  ``min_eig`` is the smallest
     eigenvalue of the Hermitian part of the input, which coincides with
-    the spectrum whenever the Hermiticity check passes; that part is summed from
-    halves, so it never overflows.  A check that overflows fails.
+    the spectrum whenever the Hermiticity check passes; that part is
+    summed from halves, so it never overflows.  A check that overflows
+    fails.
     """
     entries = np.asarray(rho, dtype=complex)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
