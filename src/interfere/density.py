@@ -90,6 +90,18 @@ class PidReport:
     degenerate: bool
 
 
+def _pair_readings(rho: DensityMatrix, consistency_tol: float = 1e-9):
+    """``(p_ij, spread, consensus)`` of :func:`estimate_pid`, ``p_ij`` an array in pair order."""
+    table, pops = rho.pairs, rho.populations
+    live = table.live_pair
+    p_ij = np.full(live.shape, float("nan"))
+    p_ij[live] = np.minimum(table.modulus[live] / np.sqrt(pops[table.i[live]] * pops[table.j[live]]), 1.0)
+    defined_values = p_ij[live]
+    spread = float(np.ptp(defined_values)) if live.any() else float("nan")
+    consensus = float(np.mean(defined_values)) if spread <= consistency_tol else None  # not for the NaN spread
+    return p_ij, spread, consensus
+
+
 def estimate_pid(rho, consistency_tol: float = 1e-9) -> PidReport:
     """Read the coherent weight off every source pair of ``rho``.
 
@@ -104,16 +116,6 @@ def estimate_pid(rho, consistency_tol: float = 1e-9) -> PidReport:
         raise DomainError(f"consistency tolerance must be positive, got {consistency_tol!r}")
     rho = as_density(rho)
     table = rho.pairs
-    pops = rho.populations
-    live = table.live_pair
-
-    p_ij = np.full(live.shape, float("nan"))
-    p_ij[live] = np.minimum(table.modulus[live] / np.sqrt(pops[table.i[live]] * pops[table.j[live]]), 1.0)
-    pairs = map(PairEstimate, table.i.tolist(), table.j.tolist(), p_ij.tolist(), live.tolist())
-    defined_values = p_ij[live]
-
-    degenerate = not live.any()
-    spread = float("nan") if degenerate else float(np.ptp(defined_values))
-    consistent = spread <= consistency_tol  # False for the NaN spread
-    consensus = float(np.mean(defined_values)) if consistent else None
-    return PidReport(tuple(pairs), consensus, spread, consistent, degenerate)
+    p_ij, spread, consensus = _pair_readings(rho, consistency_tol)
+    pairs = map(PairEstimate, table.i.tolist(), table.j.tolist(), p_ij.tolist(), table.live_pair.tolist())
+    return PidReport(tuple(pairs), consensus, spread, consensus is not None, not table.live_pair.any())

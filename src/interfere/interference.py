@@ -55,6 +55,7 @@ arbitrary valid states and reduces to the plain-cosine form when the
 off-diagonals are real and non-negative.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,17 +74,19 @@ from .core import (
     as_phases,
     as_scale,
 )
-from .density import estimate_pid
+from .density import _pair_readings
 
 DEFAULT_STARTS = 64
 DEFAULT_SCAN_SEED = 1905
+
+_EPS = np.finfo(float).eps
 
 # The scan's constants; the module docstring states the rules that read them.
 # Gain stop of one sweep, sweep cap, certified interval width, relative flat curvature.
 _REFINE_STOP = 1e-12
 _MAX_SWEEPS = 500
 _CERTIFIED_GAP = 1e-12
-_FLAT = np.sqrt(np.finfo(float).eps)
+_FLAT = np.sqrt(_EPS)
 # Newton steps one polish may take; a degenerate extremum converges linearly.
 _POLISH_STEPS = 30
 # Gain that brings an extremum's best row to another examination; most
@@ -196,7 +199,7 @@ class IntensityPattern:
         with np.errstate(over="ignore"):
             span = 2.0 * np.pi * np.ptp(self.geometry.source_positions) / self.geometry.wavelength
         n = self.geometry.n
-        if vals.min(initial=0.0) < -n * (PSD_TOL + np.finfo(float).eps * (n * n + span + np.pi)):
+        if vals.min(initial=0.0) < -n * (PSD_TOL + _EPS * (n * n + span + np.pi)):
             raise DomainError(f"negative intensity {vals.min()!r} in pattern")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "intensities", vals)
@@ -345,7 +348,7 @@ def _descend(entries, fields, values, sense, going, sweeps):
     real, imag = moving.real, moving.imag
     for _ in range(sweeps):
         for m, row in updates:
-            w = row @ moving
+            w = np.dot(row, moving)
             size = np.abs(w) * sign
             if np.count_nonzero(size) == size.size:
                 np.divide(w.real, size, out=real[m])
@@ -384,7 +387,7 @@ def _dual_bound(m, field) -> float:
     y = _multipliers(m, field)
     spectrum = np.linalg.eigvalsh(m - np.diag(y))
     n = len(y)
-    allowance = n * np.finfo(float).eps * (np.abs(y).sum() + n * np.abs(spectrum).max())
+    allowance = n * _EPS * (np.abs(y).sum() + n * np.abs(spectrum).max())
     return float(y.sum() + n * max(spectrum[-1], 0.0) + allowance)
 
 
@@ -470,6 +473,18 @@ def _settle(m, fields, values, going):
         fields[:, examined[raised]], values[examined[raised]] = trial[:, raised], reached[raised]
 
 
+# Seeded start tables are cached only up to _KERNEL_BLOCK unit fields (16 bytes each, so
+# 512 KiB a table), 8 tables at most: the cache never holds more than 4 MiB.
+@functools.lru_cache(maxsize=8)
+def _seeded_fields(seed: int, starts: int, n: int) -> np.ndarray:
+    """The read-only ``(n, starts)`` unit fields of ``starts`` seeded random phase vectors, phi[0] = 0."""
+    phases = np.zeros((n, starts))
+    phases[1:] = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=(starts, n - 1)).T
+    fields = np.exp(-1j * phases)
+    fields.setflags(write=False)
+    return fields
+
+
 def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     """Extremize the intensity over realizable phases (first phase gauged to 0).
 
@@ -491,12 +506,15 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     # phases (math.atan2: the same bits on every SIMD path) start next to the extrema.
     vectors = np.linalg.eigh(rho.entries)[1][:, [-1, 0]].T
     count = settings.starts + 3
-    seeded = np.zeros((count, n))
+    own = np.zeros((3, n))
     angles = np.array([[math.atan2(z.imag, z.real) for z in vector] for vector in vectors.tolist()])
-    seeded[1:3] = angles[:, :1] - angles
-    seeded[3:, 1:] = np.random.default_rng(settings.seed).uniform(0.0, 2.0 * np.pi, size=(settings.starts, n - 1))
+    own[1:] = angles[:, :1] - angles
+    table = (_seeded_fields if settings.starts * n <= _KERNEL_BLOCK else _seeded_fields.__wrapped__)(
+        settings.seed, settings.starts, n)
     sense = np.repeat([1.0, -1.0], count)
-    fields = np.exp(-1j * np.concatenate([seeded, seeded])).T.copy()
+    fields = np.empty((n, 2 * count), complex)
+    fields[:, :3] = fields[:, count:count + 3] = np.exp(-1j * own).T
+    fields[:, 3:count] = fields[:, count + 3:] = table
     values = sense * _multipliers(rho.entries, fields).sum(0)
     swept, going = 0, np.ones(values.shape, bool)
     # Per extremum, m and views of its rows, which every step updates in place; in units
@@ -504,7 +522,7 @@ def _scan_extrema(rho: DensityMatrix, settings: ScanSettings):
     extrema = [(m, fields[:, half], values[half], going[half])
                for m, half in ((rho.entries, slice(count)), (-rho.entries, slice(count, None)))]
     tried, bounds, opened = [-np.inf] * 2, [np.inf] * 2, [False] * 2
-    noise = n * np.finfo(float).eps * np.abs(rho.entries).sum()  # rounding of v^H rho v
+    noise = n * _EPS * np.abs(rho.entries).sum()  # rounding of v^H rho v
     while going.any() and swept < _MAX_SWEEPS:
         # Stages of 4, 4, 8 and 16 sweeps, then of _STAGE_CAP up to _MAX_SWEEPS.
         stage = min(max(swept, 4), _STAGE_CAP, _MAX_SWEEPS - swept)
@@ -537,9 +555,9 @@ def visibility(rho, scan: ScanSettings | None = None) -> VisibilityResult:
     check_budget(settings.starts + 3, int(rho.n), f"{settings.starts} + 3 scan starts")
     formula_v = 2.0 * float(rho.pairs.modulus.sum()) / float(rho.populations.sum())
 
-    report = estimate_pid(rho)
-    sum_g = np.nansum([pair.p_ij for pair in report.pairs])
-    bound = math.comb(int(rho.n), 2) * report.consensus if report.consistent else None
+    p_ij, _, consensus = _pair_readings(rho)
+    sum_g = np.nansum(p_ij)
+    bound = None if consensus is None else math.comb(int(rho.n), 2) * consensus
 
     i_max, i_min, i_max_upper, i_min_lower = _scan_extrema(rho, settings)
     i_min, i_min_lower = max(i_min, 0.0), max(i_min_lower, 0.0)
