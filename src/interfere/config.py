@@ -54,8 +54,8 @@ def _real(value, where: str) -> float:
         raise ConfigError(f"{where} must be a real number, got {value!r}")
     try:
         number = float(value)
-    except OverflowError:  # an integer beyond float range
-        number = math.inf
+    except OverflowError:  # an integer beyond float range: its digit count, not its literal
+        raise ConfigError(f"{where} must be finite, got an integer of {len(str(abs(value)))} digits") from None
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return number

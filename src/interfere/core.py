@@ -207,7 +207,9 @@ def validate_density(rho, tol: float | None = None) -> ValidationReport:
         hermitian = bool(np.max(np.abs(entries - entries.conj().T)) <= hermitian_tol)
         trace_dev = float(abs(np.trace(entries) - 1.0))
     part = entries / 2.0 + entries.conj().T / 2.0  # halves of finite parts: their sum is finite
-    min_eig = float(np.linalg.eigvalsh(part)[0])
+    # eigvalsh reads NaN where a modulus overflows: a large part is scaled by an exact power of two.
+    big = np.abs(part.view(float)).max() > 2.0**511
+    min_eig = float(np.linalg.eigvalsh(part * 2.0**-512 if big else part)[0]) * (2.0**512 if big else 1.0)
     ok = hermitian and trace_dev <= trace_tol and min_eig >= -psd_tol
     return ValidationReport(hermitian, trace_dev, min_eig, ok)
 

@@ -158,7 +158,7 @@ class DetectionGeometry:
             raise DimensionError(f"need at least 2 source positions, got shape {pos.shape}")
         if not np.all(np.isfinite(pos)):
             raise DomainError("source positions contain non-finite entries")
-        if np.unique(pos).shape[0] != pos.shape[0]:
+        if len(set(pos.tolist())) != pos.shape[0]:  # np.unique would import numpy.ma
             raise DomainError("source positions must be distinct")
         if not (np.isfinite(self.screen_distance) and self.screen_distance > 0):
             raise DomainError(f"screen distance must be positive, got {self.screen_distance!r}")

@@ -224,6 +224,17 @@ class TestPattern:
         second = run("pattern", "--config", path, "--samples", "101").stdout
         assert first == second
 
+    def test_imports_no_numpy_ma(self, tmp_path):
+        # numpy.ma costs a CLI run about 10 ms and 0.5 MiB; np.unique would import it.
+        code = (
+            "import sys; from interfere import cli; "
+            f"cli.main(['pattern', '--config', {THREE_SOURCE!r}, '--output', {str(tmp_path / 'p.csv')!r}]); "
+            "sys.exit('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "p.csv").read_text().startswith("x_m,intensity\n")
+
 
 class TestVisibility:
     def test_two_mode_mandel_point(self, family2):
@@ -437,6 +448,16 @@ def test_unusable_config_file_is_usage_error(tmp_path, data):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_integer_beyond_float_range_is_not_echoed(tmp_path):
+    # One short line with the literal's digit count, not a 4000-character literal.
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"amplitudes": [[1, 0], [0, 0]], "p_id": 1' + b"0" * 4000 + b"}")
+    proc = run("validate", "--config", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: p_id must be finite, got an integer of 4001 digits\n"
 
 
 @pytest.mark.parametrize(

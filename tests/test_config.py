@@ -131,7 +131,8 @@ class TestParsing:
         ids=["p_id", "tolerance", "rho"],
     )
     def test_integer_beyond_float_range_is_not_finite(self, doc, field):
-        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        # The message gives the literal's digit count, not the literal.
+        with pytest.raises(ConfigError, match=f"^{field} must be finite, got an integer of 401 digits$"):
             ExperimentConfig.from_dict(doc)
 
     def test_booleans_are_not_numbers(self):

@@ -151,6 +151,13 @@ class TestValidateDensity:
         report = validate_density([[1e308, 0.0], [0.0, -1e308]])
         assert (report.hermitian, report.trace_dev, report.min_eig, report.ok) == (True, 1.0, -1e308, False)
 
+    def test_min_eig_where_an_entry_modulus_overflows(self):
+        # |1.7e308 (1 + i)| overflows, which makes eigvalsh read NaN on the unscaled part;
+        # the eigenvalues are 1.7e308 (1 -+ sqrt 2).
+        report = validate_density([[1.7e308, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 1.7e308]])
+        assert report.min_eig == pytest.approx(1.7e308 * (1.0 - np.sqrt(2.0)), rel=1e-12)
+        assert not report.ok
+
     def test_tolerance_override_loosens_trace(self):
         rho = np.diag([0.55, 0.5]).astype(complex)
         assert not validate_density(rho).ok

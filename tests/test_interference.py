@@ -28,7 +28,7 @@ from interfere import (
 )
 
 from interfere import interference
-from interfere.interference import MAX_PATTERN_VALUES, _scan_extrema
+from interfere.interference import DEFAULT_SCAN_SEED, DEFAULT_STARTS, MAX_PATTERN_VALUES, _scan_extrema
 
 from helpers import equal_model, random_density, random_family_state, random_model
 
@@ -104,9 +104,10 @@ class TestDetectionGeometry:
     def test_valid(self):
         assert TWO_SLIT.n == 2
 
-    def test_duplicate_positions_rejected(self):
-        with pytest.raises(DomainError):
-            DetectionGeometry([0.0, 0.0], 1.0, 5e-7)
+    @pytest.mark.parametrize("positions", [[0.0, 0.0], [0.0, -0.0], [1e-6, 0.0, 1e-6]])
+    def test_duplicate_positions_rejected(self, positions):
+        with pytest.raises(DomainError, match="^source positions must be distinct$"):
+            DetectionGeometry(positions, 1.0, 5e-7)
 
     def test_positive_distance_required(self):
         with pytest.raises(DomainError):
@@ -497,6 +498,20 @@ class TestVisibility:
         rng = np.random.default_rng(37)
         rho = random_density(rng, 5)
         assert visibility(rho) == visibility(rho)
+
+    def test_seeded_start_table_cache(self):
+        # A cold and a warm call read the same table; a table above the size bound is not kept.
+        seeded = interference._seeded_fields
+        rho = random_density(np.random.default_rng(38), 3)
+        seeded.cache_clear()
+        cold = visibility(rho)
+        assert visibility(rho) == cold
+        assert (seeded.cache_info().hits, seeded.cache_info().currsize) == (1, 1)
+        assert not seeded(DEFAULT_SCAN_SEED, DEFAULT_STARTS, 3).flags.writeable
+        above = ScanSettings(starts=interference._KERNEL_BLOCK // 3 + 1)
+        result = visibility(rho, above)
+        assert result.i_min_lower <= result.i_min <= result.i_max <= result.i_max_upper
+        assert seeded.cache_info().currsize == 1
 
     def test_scan_settings_validated(self):
         with pytest.raises(DomainError):

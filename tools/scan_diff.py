@@ -16,12 +16,14 @@ each.  A third, large-N set holds, per N in 12, 16, 24 and 32, 8 normalized
 where the scan runs long.  Then each side runs ``visibility`` with default
 settings on every state in a child process of its own.  That child wraps
 ``numpy.linalg``'s ``eigh``, ``eigvalsh`` and ``solve`` (not the library)
-and counts the matrices that go through them during the calls.
+and counts the matrices that go through them during the calls; it also
+records the CPU time (``time.process_time``) spent in ``visibility``.
 
 Per set of states it prints the worst extremum loss (how much lower the
 change's maximum, or higher its minimum, is than the parent's), the
 certified flags lost and gained, how many results are bit-identical, and
-each side's matrix counts, uncertified intervals and their median width.
+each side's matrix counts and CPU seconds (not gated), uncertified
+intervals and their median width.
 Exit codes: 0 when no extremum is worse by more than 1e-12 and no flag is
 lost in any set, 1 otherwise, 2 on a usage error or when a side cannot run
 the comparison.  Standard library and numpy only.
@@ -33,6 +35,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -104,8 +107,11 @@ def build_states(tree: str, out: str) -> None:
 
 
 def run_side(tree: str, states: str, out: str) -> None:
-    """Child process: ``visibility`` on every state with ``tree``'s library; results and counts to ``out`` (JSON)."""
-    counts, tally = {}, None  # tally: the counts of the set whose call is running
+    """Child process: ``visibility`` on every state with ``tree``'s library.
+
+    Writes the results, the matrix counts and the CPU seconds per set to ``out`` (JSON).
+    """
+    counts, seconds, tally = {}, {}, None  # tally: the counts of the set whose call is running
 
     def counted(name, fn):
         def call(a, *args, **kwargs):
@@ -128,10 +134,12 @@ def run_side(tree: str, states: str, out: str) -> None:
     for i, label in enumerate(data["sets"].tolist()):
         rho = DensityMatrix(data[f"state_{i}"])
         tally = counts.setdefault(label, dict.fromkeys(COUNTED, 0))
+        start = time.process_time()
         result = visibility(rho)
+        seconds[label] = seconds.get(label, 0.0) + time.process_time() - start
         tally = None
         results.append([getattr(result, field) for field in FIELDS])
-    Path(out).write_text(json.dumps({"results": results, "counts": counts}))
+    Path(out).write_text(json.dumps({"results": results, "counts": counts, "seconds": seconds}))
 
 
 def _child(function: str, *args) -> None:
@@ -166,7 +174,8 @@ def compare(sets: list, sides: dict) -> tuple[list, bool]:
             uncertified = widths[results[:, 4:].T.ravel() == 0]
             median = f"{np.median(uncertified):.3g}" if uncertified.size else "-"
             lines.append(
-                f"  {side}: " + ", ".join(f"{name} {counts[name]}" for name in COUNTED) + " matrices; "
+                f"  {side}: " + ", ".join(f"{name} {counts[name]}" for name in COUNTED) + " matrices, "
+                f"{sides[side]['seconds'][label]:.2f} CPU s; "
                 f"uncertified intervals {uncertified.size}, median width {median}"
             )
         ok = ok and loss[worst] <= LOSS_LIMIT and lost == 0
